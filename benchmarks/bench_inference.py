@@ -32,18 +32,15 @@ counts on every sampled function (the blend contract, verified per run).
 The **large-module section** (``large_module`` in the report) times
 ``infer_module_counts`` at production scale (``--large-functions``
 functions with ``--large-loop-depth``-deep loop nests, observations from
-the static estimator plus 3% jitter) in five configurations: dense
-serial oracle, sparse cold cache, sparse warm cache, incremental repeat
-(memoized re-solve of an unchanged profile), and a 1/2/4/8-shard curve
-on the warm cache.  ``--check`` additionally gates:
+the static estimator plus 3% jitter) in three configurations: dense
+oracle, sparse cold cache and sparse warm cache.  ``--check``
+additionally gates:
 
-* ``--min-large-speedup`` — sparse warm at 8 shards must beat the dense
-  serial oracle by this factor (default 10x; lowered in CI where the
-  smoke module is small);
+* ``--min-large-speedup`` — sparse warm must beat the dense oracle by
+  this factor (default 10x; lowered in CI where the smoke module is
+  small);
 * ``--max-rel-diff`` — sparse results must match the dense oracle within
-  this relative tolerance (default 1e-6);
-* ``--min-reuse`` — the incremental repeat must skip at least this
-  fraction of solves (default 0.9).
+  this relative tolerance (default 1e-6).
 
 The section is skipped (and its gates vacuous) when scipy is missing —
 the sparse path then degrades to dense and there is nothing to compare.
@@ -66,7 +63,6 @@ from repro.codegen import build_probe_metadata, link
 from repro.correlate import generate_probe_profile
 from repro.hw import PMUConfig, execute, make_pmu
 from repro.inference import SolverCache, infer_module_counts
-from repro.inference import incremental as inference_session
 from repro.opt import OptConfig, optimize_module
 from repro.probes import insert_pseudo_probes
 from repro.workloads import WorkloadSpec, build_workload, large_module_spec
@@ -258,45 +254,20 @@ def run_large_bench(functions: int, loop_depth: int, seed: int,
                            "loop_depth": loop_depth, "seed": seed},
               "repeats": repeats}
 
-    # Dense serial oracle: one run (it *is* the slow path being beaten).
+    # Dense oracle: one run (it *is* the slow path being beaten).
     dense_ns = timed(1, dense=True)
     report["dense"] = {"ms": dense_ns / 1e6,
                        "functions_per_sec": n_functions / (dense_ns / 1e9)}
     dense_counts = _module_counts(module)
 
     cache = SolverCache()
-    cold_ns = timed(1, session=inference_session.InferenceSession(
-        cache=cache, memoize=False))
+    cold_ns = timed(1, cache=cache)
     report["sparse_cold"] = entry(cold_ns, dense_ns)
 
-    warm_session = inference_session.InferenceSession(cache=cache,
-                                                      memoize=False)
-    warm_ns = timed(repeats, session=warm_session)
+    warm_ns = timed(repeats, cache=cache)
     report["sparse_warm"] = entry(warm_ns, dense_ns)
     report["max_rel_diff_vs_dense"] = _max_rel_diff(
         dense_counts, _module_counts(module))
-
-    # Shard curve on the warm cache (jobs=1: in-process, so the curve
-    # isolates partitioning overhead; worker pools are covered by tests).
-    report["shard_curve"] = []
-    for shards in (1, 2, 4, 8):
-        shard_ns = timed(repeats, session=warm_session, shards=shards,
-                         jobs=1)
-        report["shard_curve"].append(
-            {"shards": shards, "jobs": 1, **entry(shard_ns, dense_ns)})
-
-    # Incremental repeat: memoized session, unchanged profile.  The first
-    # run populates the memo; the second must skip (almost) every solve.
-    memo_session = inference_session.InferenceSession(cache=cache)
-    timed(1, session=memo_session)
-    reused_before = memo_session.reused
-    repeat_ns = timed(1, session=memo_session)
-    reused = memo_session.reused - reused_before
-    report["incremental_repeat"] = {
-        **entry(repeat_ns, dense_ns),
-        "reused": reused,
-        "reuse_fraction": reused / n_functions,
-    }
     report["cache"] = cache.stats()
     report["solver_fallbacks"] = session.counter("inference",
                                                  "solver_fallback")
@@ -304,29 +275,23 @@ def run_large_bench(functions: int, loop_depth: int, seed: int,
     return report
 
 
-def check_large(report, min_speedup: float, max_rel_diff: float,
-                min_reuse: float) -> int:
+def check_large(report, min_speedup: float, max_rel_diff: float) -> int:
     """Gate the large-module section (vacuous when it was skipped)."""
     large = report.get("large_module")
     if not large or "skipped" in large:
         print("  large-module section skipped; gates vacuous")
         return 0
     failures = 0
-    speedup = large["shard_curve"][-1]["speedup_vs_dense"]
+    speedup = large["sparse_warm"]["speedup_vs_dense"]
     status = "ok" if speedup >= min_speedup else "FAIL"
     failures += speedup < min_speedup
-    print(f"  large speedup_vs_dense (8 shards, warm) {speedup:5.1f}x "
+    print(f"  large speedup_vs_dense (sparse warm) {speedup:5.1f}x "
           f"(floor {min_speedup:.1f}x) {status}")
     diff = large["max_rel_diff_vs_dense"]
     status = "ok" if diff <= max_rel_diff else "FAIL"
     failures += diff > max_rel_diff
     print(f"  large max_rel_diff_vs_dense {diff:.2e} "
           f"(limit {max_rel_diff:.0e}) {status}")
-    reuse = large["incremental_repeat"]["reuse_fraction"]
-    status = "ok" if reuse >= min_reuse else "FAIL"
-    failures += reuse < min_reuse
-    print(f"  large incremental reuse_fraction {reuse:.3f} "
-          f"(floor {min_reuse:.2f}) {status}")
     return int(failures)
 
 
@@ -389,8 +354,7 @@ def emit_bench_events(report, path: str, baseline) -> None:
                                     / entry["functions_per_sec"]) - 1.0
         log.emit("bench_point", **fields)
     large = report.get("large_module", {})
-    for name in ("dense", "sparse_cold", "sparse_warm",
-                 "incremental_repeat"):
+    for name in ("dense", "sparse_cold", "sparse_warm"):
         entry = large.get(name)
         if entry:
             log.emit("bench_point", bench="inference",
@@ -433,7 +397,7 @@ def main(argv=None) -> int:
                              "hybrid-overhead timing ratio is too noisy "
                              "there, but the large speedup floor has an "
                              "order-of-magnitude margin and the rel-diff "
-                             "and reuse gates are deterministic)")
+                             "gate is deterministic)")
     parser.add_argument("--large-functions", type=int, default=1000,
                         help="large-module section size (0 disables it; "
                              "CI uses a few hundred)")
@@ -445,14 +409,11 @@ def main(argv=None) -> int:
                         help="timed repetitions for warm large-module "
                              "configurations (best-of)")
     parser.add_argument("--min-large-speedup", type=float, default=10.0,
-                        help="--check floor: sparse warm at 8 shards vs "
-                             "dense serial")
+                        help="--check floor: sparse warm vs the dense "
+                             "oracle")
     parser.add_argument("--max-rel-diff", type=float, default=1e-6,
                         help="--check limit: sparse-vs-dense relative "
                              "difference on the large module")
-    parser.add_argument("--min-reuse", type=float, default=0.9,
-                        help="--check floor: incremental repeat reuse "
-                             "fraction")
     parser.add_argument("--events-out", default=None, metavar="PATH",
                         help="append bench_point events to this JSONL event "
                              "log (see repro report)")
@@ -487,22 +448,15 @@ def main(argv=None) -> int:
         info = large["workload"]
         print(f"large module: {info['functions']} functions, "
               f"{info['blocks']} blocks, loop_depth={info['loop_depth']}")
-        rows = [("dense", large["dense"]), ("sparse_cold",
-                                            large["sparse_cold"]),
-                ("sparse_warm", large["sparse_warm"]),
-                ("incremental", large["incremental_repeat"])]
-        rows += [(f"shards={point['shards']}", point)
-                 for point in large["shard_curve"]]
-        for name, point in rows:
+        for name in ("dense", "sparse_cold", "sparse_warm"):
+            point = large[name]
             speedup = point.get("speedup_vs_dense")
             suffix = f"   ({speedup:.1f}x dense)" if speedup else ""
             print(f"  {name:12s} {point['ms']:8.2f} ms   "
                   f"{point['functions_per_sec']:10,.0f} functions/s"
                   f"{suffix}")
         print(f"  max rel diff vs dense {large['max_rel_diff_vs_dense']:.2e},"
-              f" incremental reuse "
-              f"{large['incremental_repeat']['reuse_fraction']:.3f}, "
-              f"fallbacks {large['solver_fallbacks']}")
+              f" fallbacks {large['solver_fallbacks']}")
     elif large:
         print(f"large module: skipped ({large['skipped']})")
     print(f"wrote {args.out}")
@@ -516,7 +470,7 @@ def main(argv=None) -> int:
         failures += check_contract(report, args.max_overhead)
     if (args.check or args.check_large) and args.large_functions > 0:
         failures += check_large(report, args.min_large_speedup,
-                                args.max_rel_diff, args.min_reuse)
+                                args.max_rel_diff)
     if args.baseline:
         failures += check_baseline(report, baseline, args.max_regression)
     return 1 if failures else 0

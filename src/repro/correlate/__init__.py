@@ -2,24 +2,15 @@
 
 from .frame_inferrer import FrameInferrer, TailCallGraph
 from .profgen import (RawAggregation, aggregate_samples,
-                      context_profile_from_agg, dwarf_profile_from_counts,
-                      dwarf_range_counts, generate_context_profile,
-                      generate_dwarf_profile, generate_probe_profile,
-                      probe_profile_from_agg)
-from .sharded import (SHARDED_MODES, ShardedProfgenPool,
-                      ShardedProfileResult, generate_sharded_profile,
-                      partition_entries)
+                      context_profile_from_agg, generate_context_profile,
+                      generate_dwarf_profile, generate_probe_profile)
 from .unwinder import (CallSample, PayloadResult, RangeSample, UnwindResult,
                        Unwinder)
 
 __all__ = [
     "CallSample", "FrameInferrer", "PayloadResult", "RangeSample",
-    "RawAggregation", "SHARDED_MODES", "ShardedProfgenPool",
-    "ShardedProfileResult",
-    "TailCallGraph", "UnwindResult", "Unwinder",
+    "RawAggregation", "TailCallGraph", "UnwindResult", "Unwinder",
     "aggregate_samples", "context_profile_from_agg",
-    "dwarf_profile_from_counts", "dwarf_range_counts",
     "generate_context_profile", "generate_dwarf_profile",
-    "generate_probe_profile", "generate_sharded_profile",
-    "partition_entries", "probe_profile_from_agg",
+    "generate_probe_profile",
 ]

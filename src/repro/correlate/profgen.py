@@ -41,9 +41,8 @@ from typing import Dict, List, Optional, Tuple
 from .. import obs, telemetry
 from ..codegen.binary import Binary
 from ..codegen.probe_metadata import ProbeMetadata
-from ..hw.perf_data import AggregatedSample, PerfData
+from ..hw.perf_data import PerfData
 from ..profile.context import ContextKey, ContextTrie, base_context
-from ..profile.merge import DwarfRangeCounts
 from ..profile.profiles import ContextProfile, FlatProfile
 from .frame_inferrer import FrameInferrer, TailCallGraph
 from .unwinder import Unwinder
@@ -71,11 +70,9 @@ class RawAggregation:
         self.unwinder_stats: Dict[str, int] = {}
 
 
-def aggregate_samples(binary: Binary, data: Optional[PerfData],
+def aggregate_samples(binary: Binary, data: PerfData,
                       use_inferrer: bool = True,
-                      dedup: bool = True, *,
-                      entries: Optional[List[AggregatedSample]] = None,
-                      graph: Optional[TailCallGraph] = None
+                      dedup: bool = True
                       ) -> Tuple[RawAggregation, FrameInferrer]:
     """Unwind every sample and histogram identical ranges/calls.
 
@@ -83,35 +80,21 @@ def aggregate_samples(binary: Binary, data: Optional[PerfData],
     unwound once and its ranges/calls credited with the payload's
     multiplicity — exact, because unwinding is deterministic per payload.
     ``dedup=False`` is the per-sample reference path.
-
-    ``entries`` substitutes an explicit payload subset for
-    ``data.aggregated()`` — how a shard worker unwinds only its partition
-    (``data`` may then be ``None``).  ``graph`` substitutes a prebuilt
-    tail-call graph for the one normally derived from ``data.samples``;
-    sharded generation builds it once from the *full* stream, because a
-    graph built from one shard's payloads would repair frames differently
-    and break the byte-identity of the merged profile.
     """
-    if entries is not None and not dedup:
-        raise ValueError("explicit entries require the dedup path")
     inferrer: Optional[FrameInferrer] = None
     if use_inferrer:
         # The tail-call graph only feeds the inferrer; skip it entirely for
         # context-insensitive modes.
-        if graph is None:
-            graph = TailCallGraph.from_samples(binary, data.samples)
-        inferrer = FrameInferrer(graph)
+        inferrer = FrameInferrer(TailCallGraph.from_samples(binary,
+                                                            data.samples))
     unwinder = Unwinder(binary, inferrer, memoize=dedup)
     agg = RawAggregation()
     tel = telemetry.enabled()
     ranges = agg.ranges
     calls = agg.calls
     if dedup:
-        if entries is None:
-            entries = data.aggregated()
-            agg.total_samples = len(data.samples)
-        else:
-            agg.total_samples = sum(entry.count for entry in entries)
+        entries = data.aggregated()
+        agg.total_samples = len(data.samples)
         agg.unique_samples = len(entries)
         for entry in entries:
             count = entry.count
@@ -183,37 +166,27 @@ def _emit_index_stats(binary: Binary, before: Dict[str, int]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def dwarf_range_counts(binary: Binary, agg: RawAggregation,
-                       fast: bool = True) -> DwarfRangeCounts:
-    """Collapse an aggregation to exact per-address instruction counts and
-    per-callsite call-transfer counts — the **additive** DWARF partial
-    sharded generation exchanges.  Context is dropped (AutoFDO is
-    context-insensitive); the max-heuristic has not run yet, so partials
-    merge by plain counter addition."""
-    counts = DwarfRangeCounts()
-    instr_counts = counts.instr_counts
+def generate_dwarf_profile(binary: Binary, data: PerfData,
+                           fast: bool = True) -> FlatProfile:
+    """AutoFDO: sum range counts per instruction address, then collapse
+    same-line addresses to (line, disc) keys with the max-heuristic."""
+    tel = telemetry.enabled()
+    before = _index_stats_snapshot(binary) if tel else {}
+    agg, _ = aggregate_samples(binary, data, use_inferrer=False, dedup=fast)
+    # Context is dropped: AutoFDO is context-insensitive.
+    instr_counts: Counter = Counter()
     in_range = (binary.instructions_in_range if fast
                 else binary.scan_instructions_in_range)
     for (begin, end, _ctx), count in agg.ranges.items():
         for minstr in in_range(begin, end):
             instr_counts[minstr.addr] += count
-    call_counts = counts.call_counts
+    call_counts: Counter = Counter()
     for (call_addr, target_addr, _ctx), count in agg.calls.items():
         call_counts[(call_addr, target_addr)] += count
-    return counts
 
-
-def dwarf_profile_from_counts(binary: Binary,
-                              counts: DwarfRangeCounts) -> FlatProfile:
-    """Run the max-heuristic collapse on (merged) address-level totals.
-
-    This is the non-additive step: it must see the *complete* per-address
-    sums, so sharded generation calls it exactly once, after merging every
-    shard's :class:`DwarfRangeCounts`.
-    """
     profile = FlatProfile(FlatProfile.KIND_DWARF)
     # Collapse to (function, line, disc) with the max-heuristic.
-    for addr, count in counts.instr_counts.items():
+    for addr, count in instr_counts.items():
         minstr = binary.instr_at(addr)
         if minstr.dloc is None:
             continue
@@ -221,7 +194,7 @@ def dwarf_profile_from_counts(binary: Binary,
         key = (minstr.dloc.line, minstr.dloc.discriminator)
         profile.get_or_create(func).set_body_max(key, float(count))
     # Head counts and call targets from observed call transfers.
-    for (call_addr, target_addr), count in counts.call_counts.items():
+    for (call_addr, target_addr), count in call_counts.items():
         call_instr = binary.instr_at(call_addr)
         callee = binary.function_at(target_addr)
         if callee is None:
@@ -233,16 +206,6 @@ def dwarf_profile_from_counts(binary: Binary,
             key = (call_instr.dloc.line, call_instr.dloc.discriminator)
             profile.get_or_create(func).add_call(key, callee, float(count))
     profile.finalize()
-    return profile
-
-
-def generate_dwarf_profile(binary: Binary, data: PerfData,
-                           fast: bool = True) -> FlatProfile:
-    tel = telemetry.enabled()
-    before = _index_stats_snapshot(binary) if tel else {}
-    agg, _ = aggregate_samples(binary, data, use_inferrer=False, dedup=fast)
-    profile = dwarf_profile_from_counts(
-        binary, dwarf_range_counts(binary, agg, fast=fast))
     if tel:
         _emit_index_stats(binary, before)
     return profile
@@ -296,15 +259,13 @@ def _names(binary: Binary, chain: tuple) -> List[Tuple[str, int]]:
             for guid, probe_id in chain]
 
 
-def probe_profile_from_agg(binary: Binary, agg: RawAggregation,
+def generate_probe_profile(binary: Binary, data: PerfData,
                            probe_meta: ProbeMetadata,
                            fast: bool = True) -> FlatProfile:
-    """Build the probe-mode profile from one (partial) aggregation.
-
-    Every count is an additive fold of the aggregation's ranges/calls, so
-    the profile this returns is a mergeable partial: summing partials of
-    any payload partition reproduces the unpartitioned profile exactly.
-    """
+    """Probe-only CSSPGO: context-insensitive, sum-folded probe counts."""
+    tel = telemetry.enabled()
+    before = _index_stats_snapshot(binary) if tel else {}
+    agg, _ = aggregate_samples(binary, data, use_inferrer=False, dedup=fast)
     counts, dangling = _probe_counts(binary, agg, use_index=fast)
     profile = FlatProfile(FlatProfile.KIND_PROBE)
     for (_ctx, guid, probe_id, _stack), count in counts.items():
@@ -322,17 +283,6 @@ def probe_profile_from_agg(binary: Binary, agg: RawAggregation,
     _probe_head_and_calls(binary, agg, probe_meta,
                           lambda name, ctx: profile.get_or_create(name))
     profile.finalize()
-    return profile
-
-
-def generate_probe_profile(binary: Binary, data: PerfData,
-                           probe_meta: ProbeMetadata,
-                           fast: bool = True) -> FlatProfile:
-    """Probe-only CSSPGO: context-insensitive, sum-folded probe counts."""
-    tel = telemetry.enabled()
-    before = _index_stats_snapshot(binary) if tel else {}
-    agg, _ = aggregate_samples(binary, data, use_inferrer=False, dedup=fast)
-    profile = probe_profile_from_agg(binary, agg, probe_meta, fast=fast)
     if tel:
         _emit_index_stats(binary, before)
     return profile
@@ -363,23 +313,17 @@ def _probe_head_and_calls(binary: Binary, agg: RawAggregation,
 
 def context_profile_from_agg(binary: Binary, agg: RawAggregation,
                              probe_meta: ProbeMetadata,
-                             fast: bool = True,
-                             trie: Optional[ContextTrie] = None
-                             ) -> ContextProfile:
-    """Build the context-mode profile from one (partial) aggregation.
+                             fast: bool = True) -> ContextProfile:
+    """Build the context-mode profile from an aggregation.
 
-    Counts are additive per context, so the result is a mergeable partial
-    (see :meth:`~repro.profile.profiles.ContextProfile.merge`).  ``trie``
-    supplies the context interner; shard workers each run their own, and
-    the parent re-interns keys at merge time to restore canonical-tuple
-    identity.
+    The second half of :func:`generate_context_profile`, for callers that
+    also want the aggregation's exact sample accounting
+    (``agg.used_samples``/``agg.dropped``).
     """
     tel = telemetry.enabled()
     counts, dangling = _probe_counts(binary, agg, use_index=fast)
     profile = ContextProfile()
-    if trie is None:
-        trie = ContextTrie()
-    interned0, intern_hits0 = trie.interned, trie.hits
+    trie = ContextTrie()
     #: (ctx, inline_chain, guid) -> (key or None, fallback counter or None).
     memo: Dict[tuple, Tuple[Optional[ContextKey], Optional[str]]] = {}
     memo_hits = 0
@@ -460,9 +404,8 @@ def context_profile_from_agg(binary: Binary, agg: RawAggregation,
             telemetry.count("correlate.cache", "context_key_memo_misses",
                             len(memo))
         telemetry.count("correlate.cache", "contexts_interned",
-                        trie.interned - interned0)
-        telemetry.count("correlate.cache", "context_intern_hits",
-                        trie.hits - intern_hits0)
+                        trie.interned)
+        telemetry.count("correlate.cache", "context_intern_hits", trie.hits)
     return profile
 
 

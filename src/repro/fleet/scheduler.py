@@ -2,7 +2,7 @@
 
 Tasks are ordered by ``(ready_tick, -weight, task_id)`` — due tasks first,
 heavier services first among peers, FIFO within a service.  Every failure
-path (crash-orphaned, hang-cancelled, deadline-exceeded, shard-dropped)
+path (crash-orphaned, hang-cancelled, deadline-exceeded, result-dropped)
 funnels through :meth:`Scheduler.retry`: a bounded attempt budget with
 exponential backoff and deterministic seeded jitter, so retry storms decay
 instead of thundering and a replay of the same seed produces the same

@@ -12,7 +12,7 @@ JSONL, byte for byte.
 
 The per-tick order is fixed and load-bearing for that determinism:
 
-1. rolling releases (registry), retiring stale profgen pools;
+1. rolling releases (registry);
 2. schedule due collection tasks (per-service cadence);
 3. supervise busy workers (crash / hang / heartbeat / complete / deadline);
 4. dispatch due tasks onto idle workers;
@@ -55,7 +55,7 @@ class FleetConfig:
                  freshness_window: int = 60, status_every: int = 20,
                  release_every: int = 70,
                  retry: Optional[RetryPolicy] = None,
-                 period: int = 59, shards: int = 2, jobs: int = 1,
+                 period: int = 59,
                  max_instructions: int = 2_000_000,
                  fault_spec: Optional[FaultSpec] = None):
         self.ticks = max(1, ticks)
@@ -73,8 +73,6 @@ class FleetConfig:
         self.release_every = max(0, release_every)
         self.retry = retry if retry is not None else RetryPolicy(seed=seed)
         self.period = period
-        self.shards = max(1, shards)
-        self.jobs = max(1, jobs)
         self.max_instructions = max_instructions
         self.fault_spec = fault_spec
 
@@ -193,8 +191,8 @@ class FleetOrchestrator:
                 collect_every=config.collect_every,
                 release_every=config.release_every))
         self.engine = CollectionEngine(
-            seed=config.seed, period=config.period, shards=config.shards,
-            jobs=config.jobs, max_instructions=config.max_instructions,
+            seed=config.seed, period=config.period,
+            max_instructions=config.max_instructions,
             fault_spec=config.fault_spec)
         self.scheduler = Scheduler(config.retry, self.stats)
         self.generations = GenerationManager(
@@ -221,25 +219,20 @@ class FleetOrchestrator:
                 self.scheduler.schedule(service, tick, self.config.deadline)
 
     def run(self) -> FleetReport:
-        """Run the full simulation; always shuts the engine down."""
+        """Run the full simulation."""
         config = self.config
-        try:
-            for tick in range(config.ticks):
-                self.clock.tick = tick
-                for service in self.registry.step(tick):
-                    self.stats.bump("releases")
-                    self.engine.invalidate(service)
-                self._schedule_due(tick)
-                self.pool.step(tick)
-                self.pool.dispatch(tick)
-                self.generations.refresh(self.registry, tick)
-                self.status.maybe(tick)
-            last = config.ticks - 1
-            self.clock.tick = last
-            self.status.final(last)
-            faults_fired = self.plane.report()
-        finally:
-            self.engine.close()
+        for tick in range(config.ticks):
+            self.clock.tick = tick
+            self.stats.bump("releases", len(self.registry.step(tick)))
+            self._schedule_due(tick)
+            self.pool.step(tick)
+            self.pool.dispatch(tick)
+            self.generations.refresh(self.registry, tick)
+            self.status.maybe(tick)
+        last = config.ticks - 1
+        self.clock.tick = last
+        self.status.final(last)
+        faults_fired = self.plane.report()
         return self._report(last, faults_fired)
 
     def _report(self, tick: int, faults_fired: int) -> FleetReport:

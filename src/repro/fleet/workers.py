@@ -3,7 +3,7 @@
 Workers are *simulated* (the tick clock is what makes a 500-tick fault
 storm deterministic and replayable), but the work is real: when a worker's
 attempt reaches its finish tick, the collection engine runs the actual
-PMU collection + sharded profile generation for that task.
+PMU collection + profile generation for that task.
 
 Per tick, in fixed worker order, the supervisor checks each busy worker:
 
@@ -15,7 +15,8 @@ Per tick, in fixed worker order, the supervisor checks each busy worker:
    supervisor cancels the attempt cooperatively and retries it;
 3. **heartbeat** — a healthy worker heartbeats every tick;
 4. **completion** — at the finish tick the real collection runs; an
-   operational failure (dropped shard) fails the attempt into retry;
+   operational failure (a dropped collection result) fails the attempt
+   into retry;
 5. **deadline** — an attempt still running past its per-task deadline
    (slow collection) is cancelled and retried.
 

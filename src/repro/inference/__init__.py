@@ -2,9 +2,8 @@
 
 ``flow`` holds the formulation and both solver paths (sparse default,
 dense differential oracle); ``skeleton``/``sparse`` the structure-keyed
-factorization cache; ``incremental`` the cross-run solution memo;
-``sharded`` the deterministic process-pool fan-out.  See DESIGN.md
-sec. 14.
+factorization cache; ``incremental`` the installed session that counts
+solves.  See DESIGN.md sec. 14.
 """
 
 from .flow import (CONSERVATION_WEIGHT, infer_function_counts,

@@ -39,10 +39,8 @@ Two solver paths share this formulation (DESIGN.md sec. 14):
 Every departure from the primary solver is classified and counted
 (``inference.solver_fallback.*`` telemetry counters, ``solver_fallback``
 obs events) instead of being silently swallowed.  Module-level inference
-additionally consults the installed :class:`~repro.inference.incremental.
-InferenceSession` (solution memoization across rolling profile
-generations) and can fan per-function solves out to the sharded pool
-(``inference.sharded``).
+also adds its solve count to the installed
+:class:`~repro.inference.incremental.InferenceSession`, if any.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from ..ir.function import Function, Module
 from ..ir.instructions import Ret
 
 if TYPE_CHECKING:  # runtime imports stay lazy (sparse needs scipy)
-    from .incremental import InferenceSession
     from .skeleton import CFGSkeleton
     from .sparse import SolverCache
 
@@ -173,41 +170,21 @@ def _set_entry_count(fn: Function, head_count: Optional[float],
         fn.entry_count = max(0.0, source_flow)
 
 
-def solve_system(fn_name: str, skeleton: "CFGSkeleton",
-                 obs_indices: Tuple[int, ...], obs_values: List[float],
-                 head_count: Optional[float], cache: "SolverCache"
-                 ) -> Tuple[float, np.ndarray, Optional[str]]:
-    """Solve one function's system on the sparse path.
-
-    Returns ``(source_flow, per-block inflow, fallback_reason)``; pure in
-    its inputs, so it runs identically in-process and in pool workers
-    (``inference.sharded``) and its results are memoizable
-    (``inference.incremental``).  ``fallback_reason`` is reported by the
-    *caller* so workers stay observability-free.
-    """
+def _solve_sparse(fn: Function, skeleton: "CFGSkeleton",
+                  obs_indices: Tuple[int, ...], obs_values: List[float],
+                  head_count: Optional[float], cache: "SolverCache") -> bool:
+    """Solve ``fn``'s system on the sparse path and write its counts back;
+    returns True when the solve fell back to the oracle."""
     from .sparse import solve_raw
-    return solve_raw(cache, skeleton.digest, skeleton.n_blocks,
-                     skeleton.edges, obs_indices, obs_values, head_count)
-
-
-def _infer_sparse(fn: Function, head_count: Optional[float],
-                  cache: "SolverCache") -> None:
-    from .skeleton import extract_skeleton, observation_pattern
-    skeleton = extract_skeleton(fn)
-    obs_indices, obs_values = observation_pattern(fn, skeleton)
-    source_flow, inflow, reason = solve_system(
-        fn.name, skeleton, obs_indices, obs_values, head_count, cache)
+    source_flow, inflow, reason = solve_raw(
+        cache, skeleton.digest, skeleton.n_blocks, skeleton.edges,
+        obs_indices, obs_values, head_count)
     if reason is not None:
         _record_fallback(fn.name, reason)
-    _apply_solution(fn, skeleton.labels, head_count, source_flow, inflow)
-
-
-def _apply_solution(fn: Function, labels: List[str],
-                    head_count: Optional[float], source_flow: float,
-                    inflow: np.ndarray) -> None:
-    for i, label in enumerate(labels):
+    for i, label in enumerate(skeleton.labels):
         fn.block(label).count = float(inflow[i])
     _set_entry_count(fn, head_count, source_flow)
+    return reason is not None
 
 
 def infer_function_counts(fn: Function, head_count: Optional[float] = None,
@@ -228,9 +205,12 @@ def infer_function_counts(fn: Function, head_count: Optional[float] = None,
     if dense or not _scipy_available():
         _infer_dense(fn, head_count)
         return True
+    from .skeleton import extract_skeleton, observation_pattern
     from .sparse import default_cache
-    _infer_sparse(fn, head_count, cache if cache is not None
-                  else default_cache())
+    skeleton = extract_skeleton(fn)
+    obs_indices, obs_values = observation_pattern(fn, skeleton)
+    _solve_sparse(fn, skeleton, obs_indices, obs_values, head_count,
+                  cache if cache is not None else default_cache())
     return True
 
 
@@ -238,119 +218,70 @@ def infer_module_counts(module: Module,
                         head_counts: Optional[Dict[str, float]] = None,
                         static_fill: bool = False, *,
                         dense: bool = False,
-                        session: "Optional[InferenceSession]" = None,
-                        shards: Optional[int] = None,
-                        jobs: Optional[int] = None) -> int:
+                        cache: "Optional[SolverCache]" = None) -> int:
     """Run inference over every annotated function; returns how many ran.
 
     With ``static_fill`` the functions inference could *not* run on (no
     observations at all) are filled with static pseudo-counts instead of
     staying count-less; see ``analysis.static_profile``.
 
-    ``session`` (default: the installed
-    :class:`~repro.inference.incremental.InferenceSession`, if any)
-    supplies the solver cache, memoizes solutions across repeated runs,
-    and carries default shard/job settings; ``shards``/``jobs`` override
-    the session's.  ``shards > 1`` partitions the solve work
-    deterministically (``inference.sharded``); ``jobs > 1`` runs shards in
-    a process pool — shard count never changes the solved counts.
+    ``dense`` forces the dense differential-oracle path; ``cache``
+    overrides the process-wide solver cache on the sparse path.  The
+    installed :class:`~repro.inference.incremental.InferenceSession`, if
+    any, counts the functions solved.
     """
     from .incremental import current as current_session
-    sess = session if session is not None else current_session()
-    use_dense = (dense or (sess is not None and sess.dense)
-                 or not _scipy_available())
-    if use_dense:
-        return _infer_module_dense(module, head_counts, static_fill)
+    if dense or not _scipy_available():
+        solver = "dense"
+        inferred = _infer_module_dense(module, head_counts)
+        fallbacks = 0
+    else:
+        from .sparse import default_cache
+        solver = "sparse"
+        inferred, fallbacks = _infer_module_sparse(
+            module, head_counts, cache if cache is not None
+            else default_cache())
+    session = current_session()
+    if session is not None:
+        session.solved += len(inferred)
+    telemetry.count("inference", "functions_inferred", len(inferred))
+    obs.emit("inference_run", functions=len(module.functions),
+             inferred=len(inferred), solver=solver, solved=len(inferred),
+             fallbacks=fallbacks)
+    if static_fill:
+        _fill_static(module, inferred)
+    return len(inferred)
 
+
+def _infer_module_sparse(module: Module,
+                         head_counts: Optional[Dict[str, float]],
+                         cache: "SolverCache") -> Tuple[List[str], int]:
+    """Sparse module loop; returns (functions inferred, fallback count)."""
     from .skeleton import extract_skeleton, observation_pattern
-    from .sparse import default_cache
-    cache = sess.cache if sess is not None else default_cache()
-    n_shards = shards if shards is not None else (
-        sess.shards if sess is not None else 1)
-    n_jobs = jobs if jobs is not None else (
-        sess.jobs if sess is not None else 1)
-
     inferred: List[str] = []
-    reused = 0
     fallbacks = 0
-    pending: List[Tuple[str, "CFGSkeleton", Tuple[int, ...], List[float],
-                        Optional[float]]] = []
-    pending_fns: Dict[str, Tuple[Function, List[str]]] = {}
     for name, fn in module.functions.items():
         head = head_counts.get(name) if head_counts else None
         skeleton = extract_skeleton(fn)
         obs_indices, obs_values = observation_pattern(fn, skeleton)
         if not obs_indices and head is None:
             continue
-        if sess is not None:
-            memo = sess.lookup(name, skeleton.digest, obs_indices,
-                               obs_values, head)
-            if memo is not None:
-                source_flow, inflow = memo
-                _apply_solution(fn, skeleton.labels, head, source_flow,
-                                inflow)
-                inferred.append(name)
-                reused += 1
-                continue
-        pending.append((name, skeleton, obs_indices, obs_values, head))
-        pending_fns[name] = (fn, skeleton.labels)
-
-    if pending:
-        if n_shards > 1 and len(pending) > 1:
-            from .sharded import solve_pending_sharded
-            results = solve_pending_sharded(pending, shards=n_shards,
-                                            jobs=n_jobs, cache=cache,
-                                            pool=(sess.pool if sess is not None
-                                                  else None))
-        else:
-            results = {}
-            for name, skeleton, obs_indices, obs_values, head in pending:
-                results[name] = solve_system(name, skeleton, obs_indices,
-                                             obs_values, head, cache)
-        for name, skeleton, obs_indices, obs_values, head in pending:
-            source_flow, inflow, reason = results[name]
-            if reason is not None:
-                fallbacks += 1
-                _record_fallback(name, reason)
-            fn, labels = pending_fns[name]
-            _apply_solution(fn, labels, head, source_flow, inflow)
-            inferred.append(name)
-            if sess is not None:
-                sess.store(name, skeleton.digest, obs_indices, obs_values,
-                           head, source_flow, inflow)
-
-    if sess is not None:
-        sess.reused += reused
-        sess.solved += len(pending)
-        telemetry.count("inference", "incremental_reuse", reused)
-        telemetry.count("inference", "incremental_solves", len(pending))
-    telemetry.count("inference", "functions_inferred", len(inferred))
-    obs.emit("inference_run", functions=len(module.functions),
-             inferred=len(inferred), solver="sparse", reused=reused,
-             solved=len(pending), fallbacks=fallbacks, shards=n_shards,
-             jobs=n_jobs)
-
-    if static_fill:
-        _fill_static(module, inferred)
-    return len(inferred)
+        fallbacks += _solve_sparse(fn, skeleton, obs_indices, obs_values,
+                                   head, cache)
+        inferred.append(name)
+    return inferred, fallbacks
 
 
 def _infer_module_dense(module: Module,
-                        head_counts: Optional[Dict[str, float]],
-                        static_fill: bool) -> int:
-    """Serial dense-oracle module loop (``dense=True`` / no scipy)."""
+                        head_counts: Optional[Dict[str, float]]
+                        ) -> List[str]:
+    """Dense-oracle module loop (``dense=True`` / no scipy)."""
     inferred: List[str] = []
     for name, fn in module.functions.items():
         head = head_counts.get(name) if head_counts else None
         if infer_function_counts(fn, head, dense=True):
             inferred.append(name)
-    telemetry.count("inference", "functions_inferred", len(inferred))
-    obs.emit("inference_run", functions=len(module.functions),
-             inferred=len(inferred), solver="dense", reused=0,
-             solved=len(inferred), fallbacks=0, shards=1, jobs=1)
-    if static_fill:
-        _fill_static(module, inferred)
-    return len(inferred)
+    return inferred
 
 
 def _fill_static(module: Module, inferred: List[str]) -> None:

@@ -82,8 +82,7 @@ class ProfileManifest:
                  drops: Optional[Dict[str, int]] = None,
                  quality: Optional[Dict[str, float]] = None,
                  profile_stats: Optional[Dict[str, float]] = None,
-                 created_at: Optional[float] = None,
-                 shards: Optional[List[Dict[str, Any]]] = None):
+                 created_at: Optional[float] = None):
         self.schema_version = MANIFEST_SCHEMA_VERSION
         self.variant = variant
         self.kind = kind  # dwarf | probe | context | instr
@@ -96,11 +95,6 @@ class ProfileManifest:
         self.quality: Dict[str, float] = quality or {}
         self.profile_stats: Dict[str, float] = profile_stats or {}
         self.created_at = created_at
-        #: Per-shard provenance of a sharded generation, in shard order:
-        #: ``[{"shard": i, "samples": n, "used": n, "broken": n,
-        #: "unique": n, "dropped": {reason: n}}, ...]``.  Empty for serial
-        #: generation — the field is additive, so schema version 1 stands.
-        self.shards: List[Dict[str, Any]] = shards or []
 
     # -- serialization ------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -116,11 +110,12 @@ class ProfileManifest:
             "quality": dict(self.quality),
             "profile_stats": dict(self.profile_stats),
             "created_at": self.created_at,
-            "shards": [dict(shard) for shard in self.shards],
         }
 
     @classmethod
     def from_dict(cls, record: Dict[str, Any]) -> "ProfileManifest":
+        """Parse a manifest record; keys this version does not know (ones
+        older writers emitted) are ignored."""
         version = record.get("schema_version")
         if version != MANIFEST_SCHEMA_VERSION:
             raise ValueError(
@@ -140,7 +135,6 @@ class ProfileManifest:
             quality=dict(record.get("quality") or {}),
             profile_stats=dict(record.get("profile_stats") or {}),
             created_at=record.get("created_at"),
-            shards=[dict(shard) for shard in record.get("shards") or []],
         )
 
     def write(self, path: str) -> None:
@@ -164,37 +158,6 @@ class ProfileManifest:
         dropped = sum(count for name, count in self.drops.items()
                       if name.startswith("correlate.drop."))
         return used + dropped == total
-
-    def shard_accounting_consistent(self) -> bool:
-        """Summed per-shard accounting must equal the merged profile's.
-
-        For every drop reason, the per-shard deltas must sum to the merged
-        drop accounting, and per-shard total/used sample counts must sum
-        to the manifest's ``perf`` tallies — partitioning is exact, so any
-        discrepancy means a shard was lost, double-merged, or mislabeled.
-        Vacuously true for unsharded manifests.
-        """
-        if not self.shards:
-            return True
-        summed: Dict[str, int] = {}
-        total = used = 0
-        for shard in self.shards:
-            total += int(shard.get("samples", 0))
-            used += int(shard.get("used", 0))
-            for reason, count in (shard.get("dropped") or {}).items():
-                key = f"correlate.drop.{reason}"
-                summed[key] = summed.get(key, 0) + int(count)
-        merged = {name: count for name, count in self.drops.items()
-                  if name.startswith("correlate.drop.")}
-        if summed != merged:
-            return False
-        if (self.perf.get("samples") is not None
-                and total != self.perf["samples"]):
-            return False
-        if (self.perf.get("samples_used") is not None
-                and used != self.perf["samples_used"]):
-            return False
-        return True
 
     def __repr__(self) -> str:
         return (f"<ProfileManifest {self.variant}/{self.kind} "

@@ -24,7 +24,6 @@ from ..codegen.lower import LowerConfig
 from ..correlate.profgen import (generate_context_profile,
                                  generate_dwarf_profile,
                                  generate_probe_profile)
-from ..correlate.sharded import generate_sharded_profile
 from ..faults import FaultSpec, apply_perf_faults, apply_profile_faults
 from ..hw.executor import MachineExecutor, execute, make_pmu
 from ..obs import ProfileManifest, profile_block_counts, trim_overlap_score
@@ -102,13 +101,7 @@ class PGODriverConfig:
                  fault_spec: Optional[FaultSpec] = None,
                  strict_profile: bool = False,
                  static_fill_cold: bool = False,
-                 verify_each: bool = False,
-                 profgen_shards: int = 1,
-                 profgen_jobs: int = 1,
-                 infer_shards: int = 1,
-                 infer_jobs: int = 1,
-                 incremental_inference: bool = True,
-                 dense_inference: bool = False):
+                 verify_each: bool = False):
         self.pmu = pmu or PMUConfig()
         self.opt = opt
         self.lower = lower
@@ -144,27 +137,6 @@ class PGODriverConfig:
         self.static_fill_cold = static_fill_cold
         #: Run the IR verifier after every optimization pass in every build.
         self.verify_each = verify_each
-        #: Sharded profile generation (DESIGN.md sec. 13): with
-        #: ``profgen_shards > 1``, deduped payloads are partitioned
-        #: deterministically, each shard produces a mergeable partial, and
-        #: the merged profile is byte-identical to a serial run's.
-        #: ``profgen_jobs`` sets the worker-pool width for those shards
-        #: (``1`` = in-process, zero IPC — same bytes either way).
-        self.profgen_shards = profgen_shards
-        self.profgen_jobs = profgen_jobs
-        #: Sharded profile inference (DESIGN.md sec. 14): partition
-        #: per-function flow solves deterministically across
-        #: ``infer_shards`` and run them on ``infer_jobs`` pool workers
-        #: (``1`` = in-process — identical counts either way).
-        self.infer_shards = infer_shards
-        self.infer_jobs = infer_jobs
-        #: Memoize solved systems across the cycle's rolling iterations
-        #: (and across variants run in this process): a repeat solve with
-        #: unchanged observations is skipped entirely.  Exact-match reuse,
-        #: so it never changes counts.
-        self.incremental_inference = incremental_inference
-        #: Force the dense differential-oracle solver path everywhere.
-        self.dense_inference = dense_inference
 
 
 def run_pgo(source: Module, variant: PGOVariant,
@@ -186,19 +158,12 @@ def run_pgo(source: Module, variant: PGOVariant,
     config = config or PGODriverConfig()
     result = PGORunResult(variant)
 
-    # Inference configuration rides the installed session (the telemetry
-    # pattern): rolling iterations within this cycle — and later cycles in
-    # the same process — reuse the solver cache and, with
-    # ``incremental_inference``, skip re-solving functions whose sampled
-    # counts did not change.  An already-installed session (an enclosing
-    # orchestrator's) is left alone.
+    # An inference session counts this cycle's solves (the telemetry
+    # pattern).  An already-installed session (an enclosing caller's) is
+    # left alone.
     installed_session = None
     if inference_session.current() is None:
-        installed_session = inference_session.install(
-            inference_session.InferenceSession(
-                shards=config.infer_shards, jobs=config.infer_jobs,
-                memoize=config.incremental_inference,
-                dense=config.dense_inference))
+        installed_session = inference_session.install()
 
     try:
         obs.emit("run_started", variant=variant.value,
@@ -295,8 +260,7 @@ def _record_provenance(result: PGORunResult, variant: PGOVariant, kind: str,
                 "injected": dict(result.extras.get("fault_digest", {}))},
         drops=drops, quality=dict(quality),
         profile_stats=profile_stats(profile),
-        created_at=session_obs.log.now(),
-        shards=result.extras.get("shard_provenance"))
+        created_at=session_obs.log.now())
     record = manifest.to_dict()
     result.extras.setdefault("manifests", []).append(record)
     obs.emit("profile_generated", variant=variant.value, kind=kind,
@@ -327,47 +291,24 @@ def _generate_profile(variant: PGOVariant, profiling: BuildArtifacts,
                        if observing and session is not None else None)
     data = _fault_perf(data, config, result)
     quality: Dict[str, float] = {}
-    sharded = config.profgen_shards > 1
-    with telemetry.span("profile-generation", "stage",
-                        shards=config.profgen_shards if sharded else 1):
+    with telemetry.span("profile-generation", "stage"):
         if variant in (PGOVariant.AUTOFDO, PGOVariant.FS_AUTOFDO):
-            if sharded:
-                outcome = generate_sharded_profile(
-                    profiling.binary, data, "dwarf",
-                    shards=config.profgen_shards, jobs=config.profgen_jobs)
-                result.extras["shard_provenance"] = outcome.shard_provenance
-                raw = outcome.profile
-            else:
-                raw = generate_dwarf_profile(profiling.binary, data)
-            profile = _fault_profile(raw, config, result)
+            profile = _fault_profile(
+                generate_dwarf_profile(profiling.binary, data), config,
+                result)
             _record_provenance(result, variant, "dwarf", profiling, data,
                                config, profile, counters_before, quality)
             return profile, None
         if variant is PGOVariant.CSSPGO_PROBE_ONLY:
-            if sharded:
-                outcome = generate_sharded_profile(
-                    profiling.binary, data, "probe", profiling.probe_meta,
-                    shards=config.profgen_shards, jobs=config.profgen_jobs)
-                result.extras["shard_provenance"] = outcome.shard_provenance
-                raw = outcome.profile
-            else:
-                raw = generate_probe_profile(profiling.binary, data,
-                                             profiling.probe_meta)
-            profile = _fault_profile(raw, config, result)
+            profile = _fault_profile(
+                generate_probe_profile(profiling.binary, data,
+                                       profiling.probe_meta), config, result)
             _record_provenance(result, variant, "probe", profiling, data,
                                config, profile, counters_before, quality)
             return profile, None
-        if sharded:
-            outcome = generate_sharded_profile(
-                profiling.binary, data, "context", profiling.probe_meta,
-                shards=config.profgen_shards, jobs=config.profgen_jobs)
-            result.extras["shard_provenance"] = outcome.shard_provenance
-            profile = outcome.profile
-            inference = outcome.inference or (0, 0)
-        else:
-            profile, inferrer = generate_context_profile(
-                profiling.binary, data, profiling.probe_meta)
-            inference = (inferrer.attempted, inferrer.recovered)
+        profile, inferrer = generate_context_profile(
+            profiling.binary, data, profiling.probe_meta)
+        inference = (inferrer.attempted, inferrer.recovered)
     result.extras["frame_inference"] = inference
     profile = _fault_profile(profile, config, result)
     result.raw_profile_stats = profile_stats(profile)

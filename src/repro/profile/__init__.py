@@ -7,7 +7,6 @@ from .context import (ContextKey, ContextTrie, Frame, base_context,
 from .errors import (BinaryMismatchError, ProfileError, ProfileParseError,
                      ProfileStaleError)
 from .function_samples import ATTR_SHOULD_INLINE, FunctionSamples
-from .merge import KIND_DWARF_RANGES, DwarfRangeCounts, ProfileMap
 from .profiles import ContextProfile, FlatProfile
 from .stats import profile_stats
 from .text_format import (dump_context_profile, dump_flat_profile,
@@ -17,9 +16,8 @@ from .trimming import trim_cold_contexts
 
 __all__ = [
     "ATTR_SHOULD_INLINE", "BinaryMismatchError", "ContextKey",
-    "ContextProfile", "ContextTrie", "DwarfRangeCounts", "FlatProfile",
-    "Frame", "FunctionSamples", "KIND_DWARF_RANGES", "ProfileError",
-    "ProfileMap", "ProfileParseError",
+    "ContextProfile", "ContextTrie", "FlatProfile", "Frame",
+    "FunctionSamples", "ProfileError", "ProfileParseError",
     "ProfileStaleError", "base_context", "caller_frame",
     "dump_context_profile", "dump_flat_profile", "extend_context",
     "format_context", "is_prefix", "leaf_function", "load_context_profile",

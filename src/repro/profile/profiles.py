@@ -47,36 +47,6 @@ class FlatProfile:
     def total_samples(self) -> float:
         return sum(s.total for s in self.functions.values())
 
-    def merge(self, other: "FlatProfile") -> None:
-        """Accumulate another flat profile's counts into this one.
-
-        Only *additive* kinds merge: body counts of probe and instr profiles
-        are plain sums, so merging partials of any partition reproduces the
-        unpartitioned profile exactly.  DWARF profiles are refused — their
-        max-heuristic body counts are not additive (a max of partial sums is
-        not the max of the total); merge DWARF partials at the address level
-        instead (:class:`~repro.profile.merge.DwarfRangeCounts`).
-
-        ``other`` is never mutated; records it alone carries are cloned in.
-        """
-        if self.kind != other.kind:
-            raise ValueError(
-                f"cannot merge {other.kind!r} profile into {self.kind!r} "
-                f"profile")
-        if self.kind == FlatProfile.KIND_DWARF:
-            raise ValueError(
-                "DWARF profiles do not merge: the max-heuristic is not "
-                "additive; merge pre-collapse DwarfRangeCounts instead")
-        for name, samples in other.functions.items():
-            existing = self.functions.get(name)
-            if existing is None:
-                self.functions[name] = samples.clone()
-            else:
-                if existing.checksum is None:
-                    existing.checksum = samples.checksum
-                existing.attributes |= samples.attributes
-                existing.merge(samples)
-
     def __repr__(self) -> str:
         return f"<FlatProfile {self.kind} ({len(self.functions)} functions)>"
 
@@ -161,27 +131,6 @@ class ContextProfile:
 
     def total_samples(self) -> float:
         return sum(s.total for s in self.contexts.values())
-
-    def merge(self, other: "ContextProfile", trie=None) -> None:
-        """Union another context profile into this one (trie union).
-
-        Counts sum per context, dangling sets union, checksums first-win
-        (all partials read the same probe-metadata table, so they agree).
-        ``trie`` — a :class:`~repro.profile.context.ContextTrie` — re-interns
-        incoming keys so contexts produced by different shard-local interners
-        collapse back to one canonical tuple per distinct context.  ``other``
-        is never mutated; contexts it alone carries are cloned in.
-        """
-        for context, samples in other.contexts.items():
-            key = trie.intern(context) if trie is not None else context
-            existing = self.contexts.get(key)
-            if existing is None:
-                self.contexts[key] = samples.clone()
-            else:
-                if existing.checksum is None:
-                    existing.checksum = samples.checksum
-                existing.attributes |= samples.attributes
-                existing.merge(samples)
 
     def merge_context_into_base(self, context: ContextKey) -> None:
         """Fold one context's counts into its leaf function's base context."""

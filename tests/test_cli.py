@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.obs import ProfileManifest
 
 
 class TestCli:
@@ -29,6 +30,44 @@ class TestCli:
               "profile", "demo", "-o", str(out_file)])
         profile = load_context_profile(out_file.read_text())
         assert profile.total_samples() > 0
+
+    def test_profile_manifest_records_drop_accounting(self, tmp_path,
+                                                      capsys):
+        """repro profile -o writes exact sample accounting, and repro
+        validate --manifest checks it."""
+        profile_path = tmp_path / "ctx.prof"
+        assert main(["--period", "31", "--seed", "4",
+                     "profile", "demo", "-o", str(profile_path)]) == 0
+        manifest_path = str(profile_path) + ".manifest.json"
+        manifest = ProfileManifest.read(manifest_path)
+        used = manifest.perf["samples_used"]
+        assert used is not None and used > 0
+        assert used + sum(manifest.drops.values()) == manifest.perf["samples"]
+        assert manifest.drop_accounting_consistent()
+        capsys.readouterr()
+
+        assert main(["--seed", "4", "validate", str(profile_path), "demo",
+                     "--manifest", manifest_path]) == 0
+        out = capsys.readouterr().out
+        assert "drop accounting" in out
+        assert "verdict             PASS" in out
+
+    def test_validate_flags_corrupt_drop_accounting(self, tmp_path, capsys):
+        profile_path = tmp_path / "ctx.prof"
+        main(["--period", "31", "--seed", "4",
+              "profile", "demo", "-o", str(profile_path)])
+        manifest_path = str(profile_path) + ".manifest.json"
+        record = json.loads(open(manifest_path).read())
+        record["perf"]["samples_used"] += 7  # samples counted twice
+        with open(manifest_path, "w") as handle:
+            json.dump(record, handle)
+        capsys.readouterr()
+        assert main(["--seed", "4", "validate", str(profile_path), "demo",
+                     "--manifest", manifest_path]) == 1
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines()
+                    if "drop accounting" in line)
+        assert "MISMATCH" in line
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,7 +1,7 @@
 """Fault-tolerant continuous-profiling fleet service (DESIGN.md sec. 15).
 
 The fleet is a deterministic, tick-driven simulation doing *real*
-collection work (PMU runs, sharded context profgen), so these tests can
+collection work (PMU runs, context profgen), so these tests can
 make hard promises: the same seed reproduces the event log byte for byte,
 every orphaned task is re-queued exactly once, the retry budget is never
 exceeded, and every service ends the run on the freshest eligible profile
@@ -15,8 +15,8 @@ import pytest
 from repro import obs, telemetry
 from repro.cli import main as cli_main
 from repro.faults import FaultSpec
-from repro.fleet import (CHAIN, FleetConfig, FleetOrchestrator, RetryPolicy,
-                         default_fleet, run_fleet)
+from repro.fleet import (CHAIN, FleetConfig, RetryPolicy, default_fleet,
+                         run_fleet)
 from repro.obs.events import EventLog, read_event_log
 
 
@@ -229,7 +229,6 @@ class TestDegradation:
         assert manifest["binary_identity"]
         assert manifest["perf"]["samples"] > 0
         assert manifest["profile_stats"]["records"] > 0
-        assert manifest["shards"]  # sharded profgen provenance rode along
 
 
 # ---------------------------------------------------------------------------
@@ -401,56 +400,6 @@ class TestMergeRejection:
 
 
 # ---------------------------------------------------------------------------
-# satellite: graceful pool shutdown
-# ---------------------------------------------------------------------------
-
-
-class TestPoolShutdown:
-    def _pool(self):
-        from repro.correlate.sharded import ShardedProfgenPool
-        from repro.pgo import PGOVariant, build
-        from repro.workloads import WorkloadSpec, build_workload
-        module = build_workload(WorkloadSpec("shut", seed=3, requests=40))
-        artifacts = build(module, PGOVariant.CSSPGO_FULL)
-        return ShardedProfgenPool(artifacts.binary, "context",
-                                  artifacts.probe_meta, jobs=2)
-
-    def test_close_is_idempotent_and_submit_after_close_raises(self):
-        pool = self._pool()
-        pool.close()
-        pool.close()  # second close is a no-op, not an error
-        assert pool.executor is None
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(len, ())
-
-    def test_terminate_cancels_outstanding_work(self):
-        pool = self._pool()
-        import time
-        futures = [pool.submit(time.sleep, 5) for _ in range(8)]
-        pool.terminate()
-        assert pool.executor is None
-        # Everything either ran or was cancelled; nothing is left pending.
-        assert all(f.done() or f.cancelled() for f in futures)
-        assert not pool._outstanding
-
-    def test_context_manager_cancels_on_exception(self):
-        import time
-        with pytest.raises(RuntimeError, match="boom"):
-            with self._pool() as pool:
-                pool.submit(time.sleep, 5)
-                raise RuntimeError("boom")
-        assert pool.executor is None
-
-    def test_inference_pool_shutdown_mirror(self):
-        from repro.inference.sharded import ShardedInferencePool
-        pool = ShardedInferencePool(jobs=2)
-        pool.close()
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.submit(len, ())
-
-
-# ---------------------------------------------------------------------------
 # engine details
 # ---------------------------------------------------------------------------
 
@@ -465,19 +414,3 @@ class TestEngineDetails:
         task.attempt = 2
         second = engine.jitter_seed(services[0], task)
         assert first != second  # a retry re-collects, not replays
-
-    def test_release_invalidates_the_binary_pool(self):
-        orchestrator = FleetOrchestrator(
-            FleetConfig(ticks=1, services=1, jobs=2, release_every=5))
-        try:
-            service = next(iter(orchestrator.registry))
-            pool = orchestrator.engine._pool_for(service)
-            assert pool is not None
-            old_identity = service.binary_id
-            service.release(tick=5)
-            assert service.binary_id != old_identity
-            orchestrator.engine.invalidate(service)
-            assert old_identity not in orchestrator.engine._pools
-            assert pool.executor is None  # old pool was closed
-        finally:
-            orchestrator.engine.close()

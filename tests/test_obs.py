@@ -261,6 +261,14 @@ class TestProfileManifest:
         loaded = ProfileManifest.read(path)
         assert loaded.to_dict() == manifest.to_dict()
 
+    def test_reads_manifest_with_legacy_shards_key(self):
+        record = self._manifest().to_dict()
+        record["shards"] = [{"shard": 0, "samples": 100, "used": 97,
+                             "dropped": {"unmapped_address": 3}}]
+        loaded = ProfileManifest.from_dict(record)
+        assert loaded.to_dict() == self._manifest().to_dict()
+        assert loaded.drop_accounting_consistent()
+
     def test_rejects_wrong_schema_version(self):
         record = self._manifest().to_dict()
         record["schema_version"] = 99
