@@ -11,10 +11,11 @@ Everything here is pure and deterministic: analyses are recomputed from
 the IR on demand and never cache across mutations.
 """
 
+from ..ir.cfg import DominatorTree
 from .block_freq import BlockFrequencyInfo
 from .branch_prob import (PROB_EQ_TAKEN, PROB_LOOP_STAY, PROB_RETURN_TAKEN,
                           BranchProbabilityInfo)
-from .domtree import VIRTUAL_EXIT, DominatorTree, PostDominatorTree
+from .domtree import VIRTUAL_EXIT, PostDominatorTree
 from .lint import (RULES, LintConfig, LintFinding, LintReport, lint_profile)
 from .loops import LoopInfo
 from .static_profile import (COLD_ENTRY_FALLBACK, estimate_entry_counts,

@@ -1,110 +1,23 @@
-"""Dominator and post-dominator trees (Cooper–Harvey–Kennedy).
+"""Post-dominator tree (Cooper–Harvey–Kennedy), next to the dominator tree.
 
-The iterative set-based ``ir.cfg.dominators`` is fine for the optimizer's
-occasional queries, but the analyses in this package (loop nesting, the
-linter, frequency propagation) want a *tree*: O(1) depth, ancestor walks,
-and deterministic child ordering.  Both trees are built by the same
-engine — the post-dominator tree is the dominator tree of the reversed
-CFG rooted at a virtual exit node that all returning (or successor-less)
-blocks feed into, which handles multi-exit functions uniformly.
+``DominatorTree`` itself lives in ``ir.cfg``, where the optimizer's
+natural-loop and back-edge analyses use it; this package re-exports it.
+The post-dominator tree is built by the same engine: it is the dominator
+tree of the reversed CFG rooted at a virtual exit node that all returning
+(or successor-less) blocks feed into, which handles multi-exit functions
+uniformly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..ir.cfg import predecessors_map, reverse_post_order, successors_map
+from ..ir.cfg import DominatorTree, build_idoms, successors_map
 from ..ir.function import Function
 from ..ir.instructions import Ret
 
 #: Label of the synthetic exit block used to root the post-dominator tree.
 VIRTUAL_EXIT = "<virtual-exit>"
-
-
-def _build_idoms(order: List[str], preds: Dict[str, List[str]],
-                 entry: str) -> Dict[str, Optional[str]]:
-    """Cooper–Harvey–Kennedy over ``order`` (reverse post-order from entry)."""
-    index = {label: i for i, label in enumerate(order)}
-    idom: Dict[str, str] = {entry: entry}
-
-    def intersect(a: str, b: str) -> str:
-        while a != b:
-            while index[a] > index[b]:
-                a = idom[a]
-            while index[b] > index[a]:
-                b = idom[b]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        for label in order:
-            if label == entry:
-                continue
-            processed = [p for p in preds.get(label, ()) if p in idom]
-            if not processed:
-                continue
-            new = processed[0]
-            for pred in processed[1:]:
-                new = intersect(new, pred)
-            if idom.get(label) != new:
-                idom[label] = new
-                changed = True
-    result: Dict[str, Optional[str]] = dict(idom)
-    result[entry] = None
-    return result
-
-
-class DominatorTree:
-    """Immediate-dominator tree over a function's reachable blocks.
-
-    ``idom`` maps each reachable label to its immediate dominator (the
-    root maps to None); ``children`` is the inverse, sorted for
-    determinism; ``level`` is the root-relative tree depth used for O(1)
-    ancestor pruning in :meth:`dominates`.
-    """
-
-    __slots__ = ("root", "idom", "children", "level")
-
-    def __init__(self, root: str, idom: Dict[str, Optional[str]]):
-        self.root = root
-        self.idom = idom
-        self.children: Dict[str, List[str]] = {label: [] for label in idom}
-        for label, parent in idom.items():
-            if parent is not None:
-                self.children[parent].append(label)
-        for kids in self.children.values():
-            kids.sort()
-        self.level: Dict[str, int] = {root: 0}
-        worklist = list(self.children[root])
-        while worklist:
-            label = worklist.pop()
-            parent = self.idom[label]
-            assert parent is not None
-            self.level[label] = self.level[parent] + 1
-            worklist.extend(self.children[label])
-
-    @classmethod
-    def from_function(cls, fn: Function) -> "DominatorTree":
-        order = reverse_post_order(fn)
-        preds = predecessors_map(fn)
-        return cls(fn.entry.label, _build_idoms(order, preds, fn.entry.label))
-
-    def dominates(self, a: str, b: str) -> bool:
-        """True when ``a`` dominates ``b`` (every node dominates itself)."""
-        if a not in self.level or b not in self.level:
-            return False
-        while self.level[b] > self.level[a]:
-            parent = self.idom[b]
-            assert parent is not None
-            b = parent
-        return a == b
-
-    def strictly_dominates(self, a: str, b: str) -> bool:
-        return a != b and self.dominates(a, b)
-
-    def depth(self, label: str) -> int:
-        return self.level[label]
 
 
 class PostDominatorTree(DominatorTree):
@@ -132,7 +45,7 @@ class PostDominatorTree(DominatorTree):
                 rev_succs[VIRTUAL_EXIT].append(block.label)
                 rev_preds.setdefault(block.label, []).append(VIRTUAL_EXIT)
         order = _rpo_generic(VIRTUAL_EXIT, rev_succs)
-        return cls(VIRTUAL_EXIT, _build_idoms(order, rev_preds, VIRTUAL_EXIT))
+        return cls(VIRTUAL_EXIT, build_idoms(order, rev_preds, VIRTUAL_EXIT))
 
     def post_dominates(self, a: str, b: str) -> bool:
         return self.dominates(a, b)

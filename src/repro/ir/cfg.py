@@ -1,8 +1,15 @@
 """CFG analyses: predecessors, reverse post-order, dominators, natural loops.
 
-These are the minimum analyses the optimization passes need.  They are
-recomputed on demand (the IR is small enough that caching would only add
-invalidation bugs).
+These are the minimum analyses the optimization passes need, recomputed
+from the IR on demand.  ``DominatorTree`` (Cooper–Harvey–Kennedy) is the
+one dominator implementation; ``repro.analysis`` re-exports it next to
+the post-dominator tree.
+
+A dominator tree is a function of the CFG's edges alone, and only a
+change to a terminator or to the block list changes those.  Moving a
+non-terminator instruction from one block to another leaves every tree
+built before the move valid.  LICM relies on this: it builds one tree per
+function and rebuilds it only when it inserts a preheader block.
 """
 
 from __future__ import annotations
@@ -54,55 +61,106 @@ def reachable_blocks(fn: Function) -> Set[str]:
     return set(reverse_post_order(fn))
 
 
-def dominators(fn: Function) -> Dict[str, Set[str]]:
-    """Classic iterative dominator sets (block label -> set of dominators)."""
-    rpo = reverse_post_order(fn)
-    preds = predecessors_map(fn)
-    all_blocks = set(rpo)
-    dom: Dict[str, Set[str]] = {label: set(all_blocks) for label in rpo}
-    entry = fn.entry.label
-    dom[entry] = {entry}
+def build_idoms(order: List[str], preds: Dict[str, List[str]],
+                entry: str) -> Dict[str, Optional[str]]:
+    """Cooper–Harvey–Kennedy over ``order`` (reverse post-order from entry).
+
+    Returns the immediate dominator of every node reachable from
+    ``entry``; ``entry`` maps to None.  Predecessors that are not
+    reachable are ignored.
+    """
+    index = {label: i for i, label in enumerate(order)}
+    idom: Dict[str, str] = {entry: entry}
+
+    def intersect(a: str, b: str) -> str:
+        while a != b:
+            while index[a] > index[b]:
+                a = idom[a]
+            while index[b] > index[a]:
+                b = idom[b]
+        return a
+
     changed = True
     while changed:
         changed = False
-        for label in rpo:
+        for label in order:
             if label == entry:
                 continue
-            pred_doms = [dom[p] for p in preds[label] if p in all_blocks]
-            new = set.intersection(*pred_doms) if pred_doms else set()
-            new.add(label)
-            if new != dom[label]:
-                dom[label] = new
+            processed = [p for p in preds.get(label, ()) if p in idom]
+            if not processed:
+                continue
+            new = processed[0]
+            for pred in processed[1:]:
+                new = intersect(new, pred)
+            if idom.get(label) != new:
+                idom[label] = new
                 changed = True
-    return dom
+    result: Dict[str, Optional[str]] = dict(idom)
+    result[entry] = None
+    return result
 
 
-def immediate_dominators(fn: Function) -> Dict[str, Optional[str]]:
-    """Immediate dominators (label -> idom label, entry -> None).
+class DominatorTree:
+    """Immediate-dominator tree over a function's reachable blocks.
 
-    Derived from the dominator sets: a block's idom is its deepest strict
-    dominator, i.e. the strict dominator with the largest dominator set.
+    ``idom`` maps each reachable label to its immediate dominator (the
+    root maps to None); ``children`` is the inverse, sorted for
+    determinism; ``level`` is the root-relative tree depth used for O(1)
+    ancestor pruning in :meth:`dominates`.
     """
-    dom = dominators(fn)
-    entry = fn.entry.label
-    idom: Dict[str, Optional[str]] = {entry: None}
-    for label, doms in dom.items():
-        if label == entry:
-            continue
-        strict = doms - {label}
-        idom[label] = max(strict, key=lambda d: (len(dom[d]), d))
-    return idom
+
+    __slots__ = ("root", "idom", "children", "level")
+
+    def __init__(self, root: str, idom: Dict[str, Optional[str]]):
+        self.root = root
+        self.idom = idom
+        self.children: Dict[str, List[str]] = {label: [] for label in idom}
+        for label, parent in idom.items():
+            if parent is not None:
+                self.children[parent].append(label)
+        for kids in self.children.values():
+            kids.sort()
+        self.level: Dict[str, int] = {root: 0}
+        worklist = list(self.children[root])
+        while worklist:
+            label = worklist.pop()
+            parent = self.idom[label]
+            assert parent is not None
+            self.level[label] = self.level[parent] + 1
+            worklist.extend(self.children[label])
+
+    @classmethod
+    def from_function(cls, fn: Function) -> "DominatorTree":
+        order = reverse_post_order(fn)
+        preds = predecessors_map(fn)
+        return cls(fn.entry.label, build_idoms(order, preds, fn.entry.label))
+
+    def dominates(self, a: str, b: str) -> bool:
+        """True when ``a`` dominates ``b`` (every node dominates itself)."""
+        if a not in self.level or b not in self.level:
+            return False
+        while self.level[b] > self.level[a]:
+            parent = self.idom[b]
+            assert parent is not None
+            b = parent
+        return a == b
+
+    def strictly_dominates(self, a: str, b: str) -> bool:
+        return a != b and self.dominates(a, b)
+
+    def depth(self, label: str) -> int:
+        return self.level[label]
 
 
 def back_edges(fn: Function) -> List[Tuple[str, str]]:
     """Edges ``(tail, header)`` whose target dominates their source."""
-    dom = dominators(fn)
+    dom = DominatorTree.from_function(fn)
     edges = []
     for block in fn.blocks:
-        if block.label not in dom:
+        if block.label not in dom.idom:
             continue
         for succ in block.successors():
-            if succ in dom[block.label]:
+            if dom.dominates(succ, block.label):
                 edges.append((block.label, succ))
     return edges
 
@@ -151,20 +209,23 @@ class Loop:
         return f"<Loop header={self.header} blocks={sorted(self.body)}>"
 
 
-def natural_loops(fn: Function) -> List[Loop]:
+def natural_loops(fn: Function,
+                  dom: Optional[DominatorTree] = None) -> List[Loop]:
     """Find natural loops via back edges (tail dominated by head).
 
     Loops sharing a header are merged, matching LLVM's LoopInfo behaviour.
+    ``dom``, when given, must be the dominator tree of ``fn``'s current CFG.
     """
-    dom = dominators(fn)
+    if dom is None:
+        dom = DominatorTree.from_function(fn)
     preds = predecessors_map(fn)
-    reachable = set(dom)
+    reachable = dom.idom
     loops: Dict[str, Loop] = {}
     for block in fn.blocks:
         if block.label not in reachable:
             continue
         for succ in block.successors():
-            if succ in dom[block.label]:  # back edge block -> succ
+            if dom.dominates(succ, block.label):  # back edge block -> succ
                 header = succ
                 body: Set[str] = {header, block.label}
                 worklist = [block.label]

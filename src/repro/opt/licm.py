@@ -14,36 +14,56 @@ instruction ``I`` defining ``r`` out of loop ``L``):
 * ``r`` has exactly one definition inside ``L`` (``I`` itself);
 * every use of ``r`` inside ``L`` is dominated by ``I``;
 * ``r`` is dead after the loop, or ``I``'s block dominates every loop exit.
+
+Analyses, once per function.  A hoist moves one non-terminator instruction
+to just before the preheader's terminator, so it never changes the CFG; the
+function's :class:`DominatorTree` is built once, before ``natural_loops``,
+and rebuilt only when ``_ensure_preheader`` inserts a block.  The loops
+themselves are found once, before any preheader exists.
+
+"``r`` is dead after the loop" asks whether ``r`` is live into some exit
+target, in the sense of ``compute_liveness``'s ``live_in``.  That is the
+least fixpoint of ``in(B) = use(B) | (out(B) - def(B))``, and a register is
+in the least fixpoint exactly when some path from the top of ``B`` reaches
+a use of it before any definition of it.  ``_live_into`` searches for such
+a path in the IR as it stands at the query, so there is no liveness to
+keep in step with the hoists.  After each hoist the scan restarts from the
+top of the loop, which fixes the order in which instructions land in the
+preheader.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .. import telemetry
-from ..ir.cfg import Loop, dominators, loop_exits, natural_loops, predecessors_map
+from ..ir.cfg import (DominatorTree, Loop, loop_exits, natural_loops,
+                      predecessors_map)
 from ..ir.function import BasicBlock, Function, Module
-from ..ir.instructions import (Assign, BinOp, Br, Call, Cmp, Instr, Load,
-                               Store)
-from .liveness import compute_liveness
+from ..ir.instructions import (Assign, BinOp, Br, Call, Cmp, CondBr, Instr,
+                               Load, Store)
 from .pass_manager import OptConfig
 
 
-def _ensure_preheader(fn: Function, loop: Loop) -> Optional[BasicBlock]:
-    """Find or create the unique out-of-loop predecessor block of the header."""
+def _ensure_preheader(fn: Function,
+                      loop: Loop) -> Tuple[Optional[BasicBlock], bool]:
+    """Find or create the unique out-of-loop predecessor block of the header.
+
+    Returns the preheader (None when the header has no outside predecessor)
+    and whether a block was inserted, i.e. whether the CFG changed.
+    """
     preds = predecessors_map(fn)
     outside = [p for p in preds[loop.header] if p not in loop.body]
     if not outside:
-        return None  # unreachable loop or header == entry with no preds
+        return None, False  # unreachable loop or header == entry with no preds
     if len(outside) == 1:
         pred = fn.block(outside[0])
         if len(pred.successors()) == 1:
-            return pred
+            return pred, False
     # Create a dedicated preheader and retarget all outside predecessors.
     label = fn.fresh_label("preheader")
     preheader = BasicBlock(label, [Br(loop.header)])
     fn.add_block(preheader)
-    from ..ir.instructions import CondBr
     for pred_label in outside:
         term = fn.block(pred_label).instrs[-1]
         if isinstance(term, Br) and term.target == loop.header:
@@ -53,7 +73,7 @@ def _ensure_preheader(fn: Function, loop: Loop) -> Optional[BasicBlock]:
                 term.true_target = label
             if term.false_target == loop.header:
                 term.false_target = label
-    return preheader
+    return preheader, True
 
 
 def _loop_defs(fn: Function, loop: Loop) -> Dict[str, int]:
@@ -80,21 +100,23 @@ def _stores_and_calls(fn: Function, loop: Loop) -> Tuple[Set[str], bool]:
 
 def licm_function(fn: Function) -> int:
     hoisted_total = 0
-    for loop in natural_loops(fn):
-        hoisted_total += _licm_loop(fn, loop)
+    dom = DominatorTree.from_function(fn)
+    for loop in natural_loops(fn, dom):
+        preheader, inserted = _ensure_preheader(fn, loop)
+        if preheader is None:
+            continue
+        if inserted:
+            dom = DominatorTree.from_function(fn)
+        hoisted_total += _licm_loop(fn, loop, preheader, dom)
     return hoisted_total
 
 
-def _licm_loop(fn: Function, loop: Loop) -> int:
-    preheader = _ensure_preheader(fn, loop)
-    if preheader is None:
-        return 0
+def _licm_loop(fn: Function, loop: Loop, preheader: BasicBlock,
+               dom: DominatorTree) -> int:
     hoisted_total = 0
     changed = True
     while changed:
         changed = False
-        dom = dominators(fn)
-        liveness = compute_liveness(fn)
         defs = _loop_defs(fn, loop)
         stored_arrays, has_call = _stores_and_calls(fn, loop)
         exits = loop_exits(fn, loop)
@@ -111,10 +133,9 @@ def _licm_loop(fn: Function, loop: Loop) -> int:
                     continue
                 if not _uses_dominated(fn, loop, dom, label, idx, dst):
                     continue
-                live_after = any(dst in liveness.live_in[t] for t in exit_targets
-                                 if t in liveness.live_in)
-                if live_after and not all(label in dom[t] for t in exit_targets
-                                          if t in dom):
+                if not all(dom.dominates(label, t) for t in exit_targets
+                           if t in dom.idom) \
+                        and _live_into(fn, dst, exit_targets):
                     continue
                 # Hoist: insert before the preheader terminator.
                 block.instrs.pop(idx)
@@ -127,6 +148,27 @@ def _licm_loop(fn: Function, loop: Loop) -> int:
     return hoisted_total
 
 
+def _live_into(fn: Function, reg: str, targets: Iterable[str]) -> bool:
+    """True when ``reg`` is live on entry to any block in ``targets``: some
+    path from the top of a target reaches a use of ``reg`` before any
+    definition of it (an instruction's uses read before its definition)."""
+    seen = set(targets)
+    worklist = list(seen)
+    while worklist:
+        block = fn.block(worklist.pop())
+        for instr in block.instrs:
+            if reg in instr.uses():
+                return True
+            if instr.defined() == reg:
+                break
+        else:
+            for succ in block.successors():
+                if succ not in seen:
+                    seen.add(succ)
+                    worklist.append(succ)
+    return False
+
+
 def _hoistable_kind(instr: Instr, stored_arrays: Set[str], has_call: bool) -> bool:
     if isinstance(instr, (Assign, BinOp, Cmp)):
         return True
@@ -135,8 +177,8 @@ def _hoistable_kind(instr: Instr, stored_arrays: Set[str], has_call: bool) -> bo
     return False
 
 
-def _uses_dominated(fn: Function, loop: Loop, dom, def_label: str,
-                    def_idx: int, reg: str) -> bool:
+def _uses_dominated(fn: Function, loop: Loop, dom: DominatorTree,
+                    def_label: str, def_idx: int, reg: str) -> bool:
     for label in loop.body:
         block = fn.block(label)
         for idx, instr in enumerate(block.instrs):
@@ -144,7 +186,7 @@ def _uses_dominated(fn: Function, loop: Loop, dom, def_label: str,
                 if label == def_label:
                     if idx < def_idx:
                         return False
-                elif def_label not in dom.get(label, set()):
+                elif not dom.dominates(def_label, label):
                     return False
     return True
 

@@ -1,7 +1,8 @@
 """Block-level liveness analysis for virtual registers.
 
-Used by dead-code elimination, loop-invariant code motion safety checks, and
-the register allocator's spill-cost computation in codegen.
+Used by the register allocator's spill-cost computation in codegen.  LICM
+asks the same question of one register at a time by a path search
+(``opt/licm.py``), and the LICM differential oracle uses this analysis.
 """
 
 from __future__ import annotations

@@ -39,10 +39,8 @@ class OptConfig:
         # but the paper fine-tunes if-convert & friends to be unblocked.
         probes_block_if_convert: bool = False,
         # Traditional instrumentation counters are strong barriers.
-        instr_blocks_merge: bool = True,
         instr_blocks_if_convert: bool = True,
         instr_blocks_unroll: bool = True,
-        instr_blocks_licm: bool = True,
         # --- thresholds ---------------------------------------------------
         # When False, the pipeline inliner ignores the profile (static
         # threshold only) — used by full CSSPGO, where the pre-inliner owns
@@ -68,10 +66,8 @@ class OptConfig:
         self.enable_layout = enable_layout
         self.enable_hot_cold_split = enable_hot_cold_split
         self.probes_block_if_convert = probes_block_if_convert
-        self.instr_blocks_merge = instr_blocks_merge
         self.instr_blocks_if_convert = instr_blocks_if_convert
         self.instr_blocks_unroll = instr_blocks_unroll
-        self.instr_blocks_licm = instr_blocks_licm
         self.profile_inlining = profile_inlining
         self.inline_size_threshold = inline_size_threshold
         self.inline_hot_threshold = inline_hot_threshold

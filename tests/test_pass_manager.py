@@ -54,7 +54,6 @@ class TestOptConfig:
     def test_defaults_enable_everything(self):
         config = OptConfig()
         assert config.enable_inline and config.enable_layout
-        assert config.instr_blocks_merge
         assert not config.probes_block_if_convert  # the paper's tuning
 
     def test_disabling_passes_is_respected(self, call_module):
