@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ir.cfg import Loop, is_reducible, natural_loops
+from ..ir.cfg import DominatorTree, Loop, is_reducible, natural_loops
 from ..ir.function import Function
 
 
@@ -28,9 +28,10 @@ class LoopInfo:
     __slots__ = ("loops", "depth", "_innermost", "parent", "reducible")
 
     def __init__(self, fn: Function):
+        dom = DominatorTree.from_function(fn)
         self.loops: List[Loop] = sorted(
-            natural_loops(fn), key=lambda lp: (len(lp.body), lp.header))
-        self.reducible: bool = is_reducible(fn)
+            natural_loops(fn, dom), key=lambda lp: (len(lp.body), lp.header))
+        self.reducible: bool = is_reducible(fn, dom)
         self.depth: Dict[str, int] = {b.label: 0 for b in fn.blocks}
         self._innermost: Dict[str, Loop] = {}
         for loop in reversed(self.loops):  # outermost-first: innermost wins

@@ -38,6 +38,11 @@ an immutable cons list, the PMU's ``lagged_capture`` hook is an O(1) pair
 ``(ip, cons-node)``, and the O(depth) materialization runs at most once per
 sampling window instead of once per taken branch.
 
+In PEBS mode a taken branch costs one C-level ``deque.append`` of its
+``(source, target)`` pair onto the LBR ring, with no Python call.  The ring's
+``recorded``/``wraps`` counters are settled once when the run ends (see
+:func:`run_decoded` for the counting rule).
+
 The instruction budget is enforced at block granularity: every block bumps
 ``st.retired`` by its length before executing and the dispatch loop checks
 the limit between blocks, so ``MachineExecutionLimit`` still fires on every
@@ -84,26 +89,24 @@ class _State:
 
     __slots__ = ("regs", "frame", "frames", "globals", "counters", "taken",
                  "return_value", "cur_ip", "ret_node", "retired", "until",
-                 "pmu_branch", "pmu_prefix", "pmu_fire", "cost")
+                 "lbr_append", "pmu_branch", "pmu_prefix", "pmu_fire", "cost")
 
 
 class DecodedProgram:
     """One observer-specialized compilation of a binary."""
 
     __slots__ = ("ops", "entry_idx", "key", "decode_ns", "n_instrs",
-                 "n_blocks", "source")
+                 "n_blocks")
 
     def __init__(self, ops: List[Optional[Callable]], entry_idx: int,
                  key: Tuple[Optional[str], bool], decode_ns: int,
-                 n_blocks: int, source: str):
+                 n_blocks: int):
         self.ops = ops
         self.entry_idx = entry_idx
         self.key = key
         self.decode_ns = decode_ns
         self.n_instrs = len(ops)
         self.n_blocks = n_blocks
-        #: Generated source, kept for debugging and the differential tests.
-        self.source = source
 
 
 def _materialize_lagged(token) -> List[int]:
@@ -243,14 +246,14 @@ _COST_WB = ["cost.cycles = c", "cost.base_cycles = b"]
 
 
 def _pmu_rec_lines(my_addr: int, target: str, skid: bool) -> List[str]:
-    """LBR record (plus, in skid mode, the O(1) lagged-stack capture that
-    ``PMU.on_branch`` performs through the registered hook — it reads
-    ``st.cur_ip``, which must be the branch's own address)."""
-    ls = []
-    if skid:
-        ls.append(f"st.cur_ip = {my_addr}")
-    ls.append(f"st.pmu_branch({my_addr}, {target})")
-    return ls
+    """LBR record.  PEBS appends the pair straight to the ring.  Skid mode
+    goes through ``PMU.on_branch``, which also takes the O(1) lagged-stack
+    capture through the registered hook; that reads ``st.cur_ip``, which
+    must be the branch's own address."""
+    if not skid:
+        return [f"st.lbr_append(({my_addr}, {target}))"]
+    return [f"st.cur_ip = {my_addr}",
+            f"st.pmu_branch({my_addr}, {target})"]
 
 
 def _pmu_tick_lines(my_addr: int, target: str) -> List[str]:
@@ -620,7 +623,7 @@ def decode_program(binary: Binary, pmu_mode: Optional[str],
         ops[L] = consts[f"_b{L}"]
     entry_idx = addr_index[symbols[binary.entry_function].entry_addr]
     return DecodedProgram(ops, entry_idx, (pmu_mode, use_cost),
-                          time.perf_counter_ns() - t0, len(order), source)
+                          time.perf_counter_ns() - t0, len(order))
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +698,7 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     st.ret_node = None
     st.retired = 0
     st.until = 0
-    st.pmu_branch = st.pmu_prefix = st.pmu_fire = None
+    st.lbr_append = st.pmu_branch = st.pmu_prefix = st.pmu_fire = None
     st.cost = cost_model
 
     if pmu is not None:
@@ -714,7 +717,9 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
 
         if pmu_mode == "pebs":
             pmu.bind_executor(walker)
-            st.pmu_branch = pmu.lbr.record
+            lbr = pmu.lbr
+            st.lbr_append = lbr.append
+            lbr_room = lbr.depth - len(lbr)
 
             def pmu_fire(ip: int) -> None:
                 st.until = next_period()
@@ -772,6 +777,7 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     ops = program.ops
     idx = program.entry_idx
     limit = max_instructions
+    halted = False
     t0 = time.perf_counter_ns() if t_enabled else 0
     try:
         while True:
@@ -780,6 +786,7 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
                 raise MachineExecutionLimit(
                     f"retired > {max_instructions} instructions")
     except _Halt:
+        halted = True
         # The final ret never trips the budget in the legacy loop; anything
         # retired before it in the same block does.
         if st.retired - 1 > limit:
@@ -788,6 +795,16 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     finally:
         if pmu is not None:
             pmu._until_sample = st.until
+            if pmu_mode == "pebs":
+                # The LBR counting rule.  Every taken branch was appended to
+                # the ring except the entry frame's final ret, which has no
+                # return address to record.  The dispatch loop stops only
+                # between blocks, and each block appends right before its
+                # ``st.taken += 1``, so the run appended ``st.taken - 1``
+                # pairs when it halted and ``st.taken`` when it stopped on
+                # the instruction budget.
+                lbr.note_appended(st.taken - 1 if halted else st.taken,
+                                  lbr_room)
 
     result = MachineExecutionResult()
     result.return_value = st.return_value

@@ -152,9 +152,14 @@ class DominatorTree:
         return self.level[label]
 
 
-def back_edges(fn: Function) -> List[Tuple[str, str]]:
-    """Edges ``(tail, header)`` whose target dominates their source."""
-    dom = DominatorTree.from_function(fn)
+def back_edges(fn: Function,
+               dom: Optional[DominatorTree] = None) -> List[Tuple[str, str]]:
+    """Edges ``(tail, header)`` whose target dominates their source.
+
+    ``dom``, when given, must be the dominator tree of ``fn``'s current CFG.
+    """
+    if dom is None:
+        dom = DominatorTree.from_function(fn)
     edges = []
     for block in fn.blocks:
         if block.label not in dom.idom:
@@ -165,17 +170,19 @@ def back_edges(fn: Function) -> List[Tuple[str, str]]:
     return edges
 
 
-def is_reducible(fn: Function) -> bool:
+def is_reducible(fn: Function, dom: Optional[DominatorTree] = None) -> bool:
     """True when removing all back edges leaves the reachable CFG acyclic.
 
     All structured control flow (the workload generator emits only
     if/else and counted loops) is reducible; irreducible regions can only
     come from hand-built IR, and analyses that rely on loop nesting
     (frequency propagation, the profile linter's monotonicity rule) must
-    degrade gracefully on them.
+    degrade gracefully on them.  ``dom`` is as in :func:`back_edges`.
     """
-    reachable = reachable_blocks(fn)
-    removed = set(back_edges(fn))
+    if dom is None:
+        dom = DominatorTree.from_function(fn)
+    reachable = dom.idom  # the tree spans exactly the reachable blocks
+    removed = set(back_edges(fn, dom))
     indegree: Dict[str, int] = {label: 0 for label in reachable}
     succs: Dict[str, List[str]] = {label: [] for label in reachable}
     for label in reachable:

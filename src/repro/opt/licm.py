@@ -17,9 +17,9 @@ instruction ``I`` defining ``r`` out of loop ``L``):
 
 Analyses, once per function.  A hoist moves one non-terminator instruction
 to just before the preheader's terminator, so it never changes the CFG; the
-function's :class:`DominatorTree` is built once, before ``natural_loops``,
-and rebuilt only when ``_ensure_preheader`` inserts a block.  The loops
-themselves are found once, before any preheader exists.
+function's :class:`DominatorTree` and predecessor map are built once, before
+``natural_loops``, and rebuilt only when ``_ensure_preheader`` inserts a
+block.  The loops themselves are found once, before any preheader exists.
 
 "``r`` is dead after the loop" asks whether ``r`` is live into some exit
 target, in the sense of ``compute_liveness``'s ``live_in``.  That is the
@@ -34,7 +34,7 @@ preheader.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import telemetry
 from ..ir.cfg import (DominatorTree, Loop, loop_exits, natural_loops,
@@ -45,14 +45,15 @@ from ..ir.instructions import (Assign, BinOp, Br, Call, Cmp, CondBr, Instr,
 from .pass_manager import OptConfig
 
 
-def _ensure_preheader(fn: Function,
-                      loop: Loop) -> Tuple[Optional[BasicBlock], bool]:
+def _ensure_preheader(fn: Function, loop: Loop,
+                      preds: Dict[str, List[str]]
+                      ) -> Tuple[Optional[BasicBlock], bool]:
     """Find or create the unique out-of-loop predecessor block of the header.
 
-    Returns the preheader (None when the header has no outside predecessor)
-    and whether a block was inserted, i.e. whether the CFG changed.
+    ``preds`` is the predecessor map of ``fn``'s current CFG.  Returns the
+    preheader (None when the header has no outside predecessor) and whether
+    a block was inserted, i.e. whether the CFG changed.
     """
-    preds = predecessors_map(fn)
     outside = [p for p in preds[loop.header] if p not in loop.body]
     if not outside:
         return None, False  # unreachable loop or header == entry with no preds
@@ -101,12 +102,14 @@ def _stores_and_calls(fn: Function, loop: Loop) -> Tuple[Set[str], bool]:
 def licm_function(fn: Function) -> int:
     hoisted_total = 0
     dom = DominatorTree.from_function(fn)
+    preds = predecessors_map(fn)
     for loop in natural_loops(fn, dom):
-        preheader, inserted = _ensure_preheader(fn, loop)
+        preheader, inserted = _ensure_preheader(fn, loop, preds)
         if preheader is None:
             continue
         if inserted:
             dom = DominatorTree.from_function(fn)
+            preds = predecessors_map(fn)
         hoisted_total += _licm_loop(fn, loop, preheader, dom)
     return hoisted_total
 

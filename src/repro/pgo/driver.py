@@ -6,7 +6,8 @@ The full cycle for each variant (mirroring the paper's production workflow):
    (probes inserted for CSSPGO variants); Instr PGO profiles a special
    instrumented binary (the operational burden the paper quantifies);
 2. **collection** — run the training input; sampled variants attach the PMU
-   (synchronized LBR + stack for full CSSPGO), Instr reads exact counters;
+   and nothing else (synchronized LBR + stack for full CSSPGO), Instr reads
+   exact counters under the cost model, which prices its overhead;
 3. **profile generation** — llvm-profgen equivalent; full CSSPGO also runs
    cold-context trimming and the pre-inliner here (offline, sec. III.B(b));
 4. **optimizing build** — fresh compile consuming the profile;
@@ -44,9 +45,13 @@ from .variants import PGOVariant
 
 
 class RunMeasurement:
-    """One execution under the cost model."""
+    """One execution: retired instructions, plus the cycle cost model's
+    ``cycles`` and ``summary`` when the run carried one.  A sampled
+    profiling run carries none, so its ``cycles`` is None and its
+    ``summary`` is empty."""
 
-    def __init__(self, cycles: float, instructions: int, summary: Dict[str, float]):
+    def __init__(self, cycles: Optional[float], instructions: int,
+                 summary: Dict[str, float]):
         self.cycles = cycles
         self.instructions = instructions
         self.summary = summary
@@ -74,7 +79,10 @@ class PGORunResult:
         #: (kept for backward compatibility; see :attr:`profiling_runs`).
         self.profiling_run: Optional[RunMeasurement] = None
         #: One entry per continuous-profiling iteration, in order — overhead
-        #: analysis sees every iteration, not just the last.
+        #: analysis sees every iteration, not just the last.  Only the INSTR
+        #: build's run is priced (``cycles`` and ``summary``); a sampled
+        #: run collects without the cost model, so it records
+        #: ``instructions`` with ``cycles`` None and an empty ``summary``.
         self.profiling_runs: List[RunMeasurement] = []
         self.profile_stats: Dict[str, float] = {}
         self.raw_profile_stats: Dict[str, float] = {}
@@ -451,13 +459,17 @@ def _build_optimized(source: Module, variant: PGOVariant, profile,
 
 def _profile_collection(binary, train_args: Sequence[int],
                         pmu_config: PMUConfig, max_instructions: int):
-    """One profiling run (picklable, so it can run in a pool worker)."""
+    """One sampling run (picklable, so it can run in a pool worker).
+
+    The PMU is the only observer.  Profile generation reads the (LBR,
+    stack, IP) sample stream alone, so no cost model is attached: the run
+    decodes and executes the PMU-only variant, and its measurement records
+    ``instructions`` with ``cycles`` None and an empty ``summary``.
+    """
     pmu = make_pmu(pmu_config)
-    cost = CostModel()
-    run = execute(binary, train_args, pmu=pmu, cost_model=cost,
+    run = execute(binary, train_args, pmu=pmu,
                   max_instructions=max_instructions)
-    measurement = RunMeasurement(cost.cycles, run.instructions_retired,
-                                 cost.summary())
+    measurement = RunMeasurement(None, run.instructions_retired, {})
     return pmu.finish(run.instructions_retired), measurement
 
 

@@ -11,6 +11,9 @@ against instrumentation ground truth, on the same pristine IR:
 
 CSSPGO's context profile is flattened for this measurement (the metric is
 defined per function over a common CFG).
+
+Only the runs behind the overhead column (the plain, INSTR and probe builds)
+carry the cycle cost model; the sampling runs attach the PMU alone.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from ..correlate.profgen import (generate_context_profile,
 from ..hw.executor import execute, make_pmu
 from ..hw.pmu import PMUConfig
 from ..ir.function import Module
+from ..perfmodel.cost_model import CostModel
 from ..probes.insertion import insert_pseudo_probes
 from ..quality.overlap import block_overlap_program, module_block_counts
 from .build import build
@@ -66,7 +70,6 @@ def evaluate_profile_quality(source: Module, train_args: Sequence[int],
     report = QualityReport()
 
     # -- baseline (plain binary) for overhead ratios ------------------------
-    from ..perfmodel.cost_model import CostModel
     plain = build(source, PGOVariant.NONE, opt_config=config.opt,
                   lower_config=config.lower)
     plain_cost = CostModel()
@@ -92,9 +95,7 @@ def evaluate_profile_quality(source: Module, train_args: Sequence[int],
                               profile=dwarf_profile, opt_config=config.opt,
                               lower_config=config.lower)
         pmu = make_pmu(config.pmu)
-        autofdo_cost = CostModel()
         run = execute(autofdo_build.binary, train_args, pmu=pmu,
-                      cost_model=autofdo_cost,
                       max_instructions=config.max_instructions)
         dwarf_profile = generate_dwarf_profile(
             autofdo_build.binary, pmu.finish(run.instructions_retired))
@@ -112,8 +113,7 @@ def evaluate_profile_quality(source: Module, train_args: Sequence[int],
                          profile=probe_profile, opt_config=config.opt,
                          lower_config=config.lower)
         pmu = make_pmu(config.pmu)
-        cs_cost = CostModel()
-        run = execute(cs_build.binary, train_args, pmu=pmu, cost_model=cs_cost,
+        run = execute(cs_build.binary, train_args, pmu=pmu,
                       max_instructions=config.max_instructions)
         ctx_profile, _ = generate_context_profile(
             cs_build.binary, pmu.finish(run.instructions_retired),

@@ -218,6 +218,24 @@ class TestLoopInfo:
         assert not LoopInfo(
             build_irreducible_module().function("main")).reducible
 
+    @pytest.mark.parametrize("build", [build_nested_loop_module,
+                                       build_irreducible_module])
+    def test_builds_one_dominator_tree(self, build, monkeypatch):
+        # natural_loops, is_reducible and back_edges share LoopInfo's tree.
+        fn = build().function("main")
+        real = DominatorTree.from_function.__func__
+        calls = []
+
+        def counting(cls, function):
+            calls.append(function.name)
+            return real(cls, function)
+
+        monkeypatch.setattr(DominatorTree, "from_function",
+                            classmethod(counting))
+        li = LoopInfo(fn)
+        assert calls == ["main"]
+        assert li.reducible == is_reducible(fn)
+
 
 class TestBranchProbability:
     def test_loop_stay_heuristic(self):

@@ -92,7 +92,28 @@ class TestObserverDifferential:
             assert list(got.lbr) == list(want.lbr)
             assert list(got.stack) == list(want.stack)
         assert pmu_d.lbr.recorded == pmu_l.lbr.recorded
+        assert pmu_d.lbr.wraps == pmu_l.lbr.wraps
         assert pmu_d._skid_samples == pmu_l._skid_samples
+
+    @pytest.mark.parametrize("engine", ["legacy", "decoded"])
+    @pytest.mark.parametrize("pebs", [True, False])
+    def test_cost_model_does_not_change_samples(self, engine, pebs):
+        # Sampling runs collect without a cost model; the stream they give
+        # must be the one a priced run gives.
+        binary = _pipeline_binary(1)
+        config = PMUConfig(period=31, pebs=pebs)
+        runs = []
+        for cost in (None, CostModel()):
+            pmu = make_pmu(config)
+            result = execute(binary, ARGS, pmu=pmu, cost_model=cost,
+                             engine=engine)
+            data = pmu.finish(result.instructions_retired)
+            samples = [(s.ip, list(s.lbr), list(s.stack))
+                       for s in data.samples]
+            runs.append((samples, pmu.lbr.recorded, pmu.lbr.wraps,
+                         pmu._skid_samples))
+        assert len(runs[0][0]) > 100
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("with_pmu", [False, True])
     def test_cost_model_identical(self, with_pmu):
@@ -203,6 +224,35 @@ class TestInstructionBudget:
         binary = link(_recursion_module())
         result = execute(binary, [40], max_instructions=2_000, engine=engine)
         assert result.return_value == 40
+
+    @pytest.mark.parametrize("cut", [None, 2, 100])
+    def test_direct_lbr_appends_count_like_record(self, cut):
+        # The decoded PEBS path appends to the LBR ring and settles
+        # recorded/wraps once per run; the skid path records every branch
+        # through LBRStack.record.  Both see the same branches, so the
+        # counters must agree on a second run that starts with a partly
+        # filled ring, whether it halts (cut None), halts and then fails
+        # the budget check (cut 2: the final block is ``add; ret``), or
+        # stops on the budget between blocks.
+        binary = link(_recursion_module())
+        total = execute(binary, [40]).instructions_retired
+        budget = 50_000_000 if cut is None else total - cut
+        counters = []
+        for pebs in (True, False):
+            pmu = make_pmu(PMUConfig(period=5, lbr_depth=32, pebs=pebs))
+            execute(binary, [3], pmu=pmu, engine="decoded")
+            assert 0 < len(pmu.lbr) < 32
+            if cut is None:
+                execute(binary, [40], pmu=pmu, engine="decoded",
+                        max_instructions=budget)
+            else:
+                with pytest.raises(MachineExecutionLimit):
+                    execute(binary, [40], pmu=pmu, engine="decoded",
+                            max_instructions=budget)
+            counters.append((pmu.lbr.recorded, pmu.lbr.wraps,
+                             pmu.lbr.snapshot()))
+        assert counters[0] == counters[1]
+        assert counters[0][1] > 0
 
     def test_recursion_differential(self):
         binary = link(_recursion_module())

@@ -1,5 +1,9 @@
 """PMU/perf-data details and aggregation plumbing."""
 
+import random
+
+import pytest
+
 from repro.codegen import link
 from repro.correlate import aggregate_samples
 from repro.hw import PMU, PMUConfig, PerfData, PerfSample, execute, make_pmu
@@ -32,6 +36,19 @@ class TestPMUBinding:
         for sample in data.samples[:10]:
             assert all(binary.has_addr(a) or binary.function_at(a)
                        for a in sample.stack)
+
+    @pytest.mark.parametrize("period", [1, 3, 7, 8, 16, 59, 97])
+    def test_jitter_draws_match_randint(self, period):
+        # _next_period draws through getrandbits on precomputed bounds; it
+        # must consume the generator exactly as randint does.
+        for seed in (0, 1, 5, 12345, 2 ** 40 + 3):
+            pmu = PMU(PMUConfig(period=period, jitter_seed=seed), list)
+            rng = random.Random(seed)
+            want = [period + rng.randint(0, max(1, period // 8))
+                    for _ in range(400)]
+            got = [pmu._until_sample]
+            got += [pmu._next_period() for _ in range(399)]
+            assert got == want
 
     def test_jitter_varies_gaps(self, loop_module):
         binary = link(loop_module)
