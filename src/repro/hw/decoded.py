@@ -3,9 +3,15 @@
 The legacy :class:`~repro.hw.executor.MachineExecutor` re-dispatches on the
 ``kind`` string and re-checks register-vs-immediate operand types for every
 retired instruction.  This module instead runs a one-time *decode* pass over
-``Binary.instrs`` that partitions the program into basic blocks and compiles
-each block into one specialized Python function (a single ``compile``/``exec``
-per binary and observer variant):
+``Binary.instrs`` that partitions the program into basic blocks and builds a
+block table.  Each block compiles into one specialized Python function, but
+only when its function is first entered: every leader starts as a stub for
+its owning function (by the symbol's hot and cold ranges), and the first
+stub to run compiles all of that function's blocks in one
+``compile``/``exec``, patches the table and runs the block.  Code that never
+runs is never compiled.  A block's code does not depend on which function
+compiled first, because successor inlining still sees every block of the
+binary.  The generated code is specialized as follows:
 
 * operand register-vs-immediate resolution happens at decode time — operands
   are emitted as dict subscripts or integer literals;
@@ -29,9 +35,16 @@ per binary and observer variant):
 
 Decoded programs are cached on the :class:`~repro.codegen.binary.Binary`
 (keyed by observer variant), so repeated runs of the same artifact —
-continuous-profiling iterations, evaluation runs, benchmark sweeps — skip
-decoding entirely.  The cache is dropped on pickling (code objects and
+continuous-profiling iterations, evaluation runs, benchmark sweeps — reuse
+the table and every function compiled so far, and compile only functions no
+earlier run reached.  The cache is dropped on pickling (code objects and
 closures don't serialize) and rebuilt on first use in the receiving process.
+
+Decode time is charged where it happens: ``DecodedProgram.decode_ns`` and
+the ``hw.decode`` telemetry counter ``decode_ns`` take the table build and
+then each function compile; ``decodes`` and ``instrs_decoded`` count the
+compiles and the instructions they cover, and ``hw.exec``'s ``run_ns``
+leaves the compiles out.
 
 Skid stacks are lazy here: the executor maintains the return-address chain as
 an immutable cons list, the PMU's ``lagged_capture`` hook is an O(1) pair
@@ -56,6 +69,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import telemetry
@@ -89,24 +103,26 @@ class _State:
 
     __slots__ = ("regs", "frame", "frames", "globals", "counters", "taken",
                  "return_value", "cur_ip", "ret_node", "retired", "until",
-                 "lbr_append", "pmu_branch", "pmu_prefix", "pmu_fire", "cost")
+                 "lbr_append", "pmu_branch", "pmu_prefix", "pmu_fire", "cost",
+                 "program")
 
 
 class DecodedProgram:
-    """One observer-specialized compilation of a binary."""
+    """One observer-specialized block table of a binary.
 
-    __slots__ = ("ops", "entry_idx", "key", "decode_ns", "n_instrs",
-                 "n_blocks")
+    ``ops[i]`` is the block function at leader ``i`` (None elsewhere); until
+    the leader's function is first entered it is a stub that compiles the
+    function.  ``decode_ns`` is the table build plus every compile so far.
+    """
+
+    __slots__ = ("ops", "entry_idx", "key", "decode_ns")
 
     def __init__(self, ops: List[Optional[Callable]], entry_idx: int,
-                 key: Tuple[Optional[str], bool], decode_ns: int,
-                 n_blocks: int):
+                 key: Tuple[Optional[str], bool], decode_ns: int):
         self.ops = ops
         self.entry_idx = entry_idx
         self.key = key
         self.decode_ns = decode_ns
-        self.n_instrs = len(ops)
-        self.n_blocks = n_blocks
 
 
 def _materialize_lagged(token) -> List[int]:
@@ -306,7 +322,7 @@ def _locals_literal(callee) -> str:
 class _Ctx:
     """Decode-time context shared by the block emitters."""
 
-    __slots__ = ("binary", "instrs", "n", "addr_index", "symbols",
+    __slots__ = ("label", "instrs", "n", "addr_index", "symbols", "owners",
                  "P", "SKID", "C", "blocks", "consts")
 
 
@@ -346,8 +362,8 @@ def _emit_segment(ctx: _Ctx, L: int, pool: List[int]) -> List[str]:
     """
     e, ctrl, stop = ctx.blocks[L]
     instrs = ctx.instrs
-    binary = ctx.binary
-    symbols = ctx.symbols
+    owner = ctx.owners[L]
+    local_arrays = ctx.symbols[owner].local_arrays if owner is not None else {}
     P, C = ctx.P, ctx.C
     prefix = instrs[L:e]
     K = (e - L) + (1 if ctrl is not None else 0)
@@ -375,12 +391,7 @@ def _emit_segment(ctx: _Ctx, L: int, pool: List[int]) -> List[str]:
 
     prev_line: Optional[int] = None
     for ins in prefix:
-        if ins.kind in ("load", "store"):
-            func = binary.function_at(ins.addr)
-            is_local = (func is not None
-                        and ins.a in symbols[func].local_arrays)
-        else:
-            is_local = False
+        is_local = ins.kind in ("load", "store") and ins.a in local_arrays
         body += _sem_lines(ins, is_local)
         if C:
             body += _cost_retire_lines(BASE_COSTS[ins.kind], ins.addr,
@@ -544,18 +555,76 @@ def _gen_ctrl(ctx: _Ctx, ins, e: int, prev_line: Optional[int],
 # Decode pass
 # ---------------------------------------------------------------------------
 
+def _owners(binary: Binary, order: List[int]) -> Dict[int, Optional[str]]:
+    """Owning function of every leader, by the symbols' hot and cold ranges
+    (None for a leader in no range).
+
+    ``order`` is sorted and instructions sit in address order, so one sweep
+    over the sorted ranges places every leader.  A block never crosses a
+    range boundary: each range starts at a function entry or after a control
+    instruction, so its leader's owner owns the whole block.
+    """
+    instrs = binary.instrs
+    ranges = binary._ranges
+    owners: Dict[int, Optional[str]] = {}
+    r = 0
+    for L in order:
+        addr = instrs[L].addr
+        while r < len(ranges) and ranges[r][1] <= addr:
+            r += 1
+        inside = r < len(ranges) and ranges[r][0] <= addr
+        owners[L] = ranges[r][2] if inside else None
+    return owners
+
+
+def _compile_function(ctx: _Ctx, program: DecodedProgram,
+                      owner: Optional[str], leaders: List[int]) -> None:
+    """Compile every block of one function in one ``compile()``, patch the
+    block table, and charge the time to the program and to telemetry."""
+    t0 = time.perf_counter_ns()
+    src: List[str] = []
+    for L in leaders:
+        src.append(f"def _b{L}(st):")
+        src.extend(_indent(_emit_segment(ctx, L, [_INLINE_POOL])))
+        src.append("")
+    consts = ctx.consts
+    exec(compile("\n".join(src), f"<decoded:{ctx.label}:{owner}>", "exec"),
+         consts)
+    ops = program.ops
+    blocks = ctx.blocks
+    n_instrs = 0
+    for L in leaders:
+        ops[L] = consts.pop(f"_b{L}")
+        n_instrs += blocks[L][2] - L
+    elapsed = time.perf_counter_ns() - t0
+    program.decode_ns += elapsed
+    telemetry.count("hw.decode", "decodes")
+    telemetry.count("hw.decode", "decode_ns", elapsed)
+    telemetry.count("hw.decode", "instrs_decoded", n_instrs)
+
+
+def _enter(ctx: _Ctx, owner: Optional[str], leaders: List[int], L: int,
+           st: _State) -> int:
+    """Stub at each leader of a function not compiled yet: compile the
+    function, then run block ``L``.  Only the dispatch loop calls table
+    entries, so the program comes from the run state: a stub holding it
+    would form a reference cycle, and a dead binary's program would then
+    wait for the cyclic collector instead of going with the binary."""
+    program = st.program
+    _compile_function(ctx, program, owner, leaders)
+    return program.ops[L](st)
+
+
 def decode_program(binary: Binary, pmu_mode: Optional[str],
                    use_cost: bool) -> DecodedProgram:
-    """Compile ``binary`` into an observer-specialized block-function table.
+    """Split ``binary`` into blocks and build its observer-specialized
+    block table, with every function left to compile on first entry.
 
     ``pmu_mode`` is ``None`` (no PMU), ``"pebs"`` or ``"skid"``; ``use_cost``
     selects the cost-model variant.  Called through the binary's decode cache
     by :func:`run_decoded` — call directly only in tests/benchmarks.
     """
     t0 = time.perf_counter_ns()
-    P = pmu_mode is not None
-    SKID = pmu_mode == "skid"
-    C = use_cost
     instrs = binary.instrs
     n = len(instrs)
     addr_index = binary._addr_to_index
@@ -592,38 +661,32 @@ def decode_program(binary: Binary, pmu_mode: Optional[str],
             e += 1
         blocks[L] = (e, ctrl, stop)
 
+    # No reference back to the binary: the binary's decode cache holds the
+    # stubs and the stubs hold this context, so one would form a cycle.
     ctx = _Ctx()
-    ctx.binary = binary
+    ctx.label = f"{binary.name}:{pmu_mode}:{use_cost}"
     ctx.instrs = instrs
     ctx.n = n
     ctx.addr_index = addr_index
     ctx.symbols = symbols
-    ctx.P = P
-    ctx.SKID = SKID
-    ctx.C = C
+    ctx.owners = _owners(binary, order)
+    ctx.P = pmu_mode is not None
+    ctx.SKID = pmu_mode == "skid"
+    ctx.C = use_cost
     ctx.blocks = blocks
     ctx.consts = {"_DFrame": DFrame, "_Halt": _Halt,
                   "_eval_binop": eval_binop}
-    consts = ctx.consts
 
-    src: List[str] = []
+    functions: Dict[Optional[str], List[int]] = {}
     for L in order:
-        body = _emit_segment(ctx, L, [_INLINE_POOL])
-        src.append(f"def _b{L}(st):")
-        src.extend(_indent(body))
-        src.append("")
-
-    source = "\n".join(src)
-    code = compile(source, f"<decoded:{binary.name}:{pmu_mode}:{use_cost}>",
-                   "exec")
-    exec(code, consts)
-
+        functions.setdefault(ctx.owners[L], []).append(L)
     ops: List[Optional[Callable]] = [None] * n
-    for L in order:
-        ops[L] = consts[f"_b{L}"]
+    for owner, group in functions.items():
+        for L in group:
+            ops[L] = partial(_enter, ctx, owner, group, L)
     entry_idx = addr_index[symbols[binary.entry_function].entry_addr]
     return DecodedProgram(ops, entry_idx, (pmu_mode, use_cost),
-                          time.perf_counter_ns() - t0, len(order))
+                          time.perf_counter_ns() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +727,8 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
         if binary.decode_stats["cache_hits"] > hits_before:
             telemetry.count("hw.decode", "cache_hits")
         else:
-            telemetry.count("hw.decode", "decodes")
+            # The table build; each function compile counts itself.
             telemetry.count("hw.decode", "decode_ns", program.decode_ns)
-            telemetry.count("hw.decode", "instrs_decoded", program.n_instrs)
 
     entry = binary.symbols[binary.entry_function]
     frame = DFrame()
@@ -700,6 +762,7 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     st.until = 0
     st.lbr_append = st.pmu_branch = st.pmu_prefix = st.pmu_fire = None
     st.cost = cost_model
+    st.program = program
 
     if pmu is not None:
         def walker() -> List[int]:
@@ -778,6 +841,7 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     idx = program.entry_idx
     limit = max_instructions
     halted = False
+    decode_ns = program.decode_ns
     t0 = time.perf_counter_ns() if t_enabled else 0
     try:
         while True:
@@ -812,7 +876,9 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     result.instr_counters = st.counters
     result.taken_branches = st.taken
     if t_enabled:
-        run_ns = time.perf_counter_ns() - t0
+        # Compiles during the run are decode time, not execution.
+        run_ns = (time.perf_counter_ns() - t0
+                  - (program.decode_ns - decode_ns))
         telemetry.count("hw.exec", "runs")
         telemetry.count("hw.exec", "instructions_retired", st.retired)
         telemetry.count("hw.exec", "taken_branches", st.taken)

@@ -8,6 +8,7 @@ functions plus global arrays, mirroring one linked program.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -61,7 +62,9 @@ class BasicBlock:
         return [i for i in self.instrs if isinstance(i, Call)]
 
     def clone(self, new_label: Optional[str] = None) -> "BasicBlock":
-        bb = BasicBlock(new_label or self.label, [i.clone() for i in self.instrs])
+        bb = BasicBlock.__new__(BasicBlock)
+        bb.label = new_label or self.label
+        bb.instrs = [i.clone() for i in self.instrs]
         bb.count = self.count
         bb.is_cold = self.is_cold
         return bb
@@ -147,16 +150,19 @@ class Function:
         return f"%{hint}{i}"
 
     def clone(self, new_name: Optional[str] = None) -> "Function":
-        fn = Function(new_name or self.name, list(self.params))
-        if new_name is None:
-            fn.guid = self.guid
+        """Deep copy, built field by field: the source's labels are already
+        unique, and its GUID carries over unless the copy is renamed."""
+        fn = Function.__new__(Function)
+        fn.name = new_name or self.name
+        fn.guid = self.guid if new_name is None else function_guid(new_name)
+        fn.params = list(self.params)
+        fn.blocks = [block.clone() for block in self.blocks]
+        fn._by_label = {block.label: block for block in fn.blocks}
         fn.local_arrays = dict(self.local_arrays)
         fn.entry_count = self.entry_count
         fn.probe_checksum = self.probe_checksum
         fn.is_cold_split = self.is_cold_split
         fn.noinline = self.noinline
-        for block in self.blocks:
-            fn.add_block(block.clone())
         return fn
 
     def __repr__(self) -> str:
@@ -197,14 +203,26 @@ class Module:
         return {fn.guid: name for name, fn in self.functions.items()}
 
     def clone(self) -> "Module":
-        mod = Module(self.name)
-        mod.global_arrays = dict(self.global_arrays)
-        mod.entry_function = self.entry_function
-        mod.profile_summary = self.profile_summary
-        mod.probe_guid_names = dict(self.probe_guid_names)
-        mod.probe_guid_checksums = dict(self.probe_guid_checksums)
-        for fn in self.functions.values():
-            mod.add_function(fn.clone())
+        """Deep copy of every function; ``profile_summary`` is shared.
+
+        The cyclic collector is paused for the copy, and the caller's
+        setting restored after it: every object the copy allocates
+        survives, so each collection it would trigger is wasted work.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            mod = Module(self.name)
+            mod.global_arrays = dict(self.global_arrays)
+            mod.entry_function = self.entry_function
+            mod.profile_summary = self.profile_summary
+            mod.probe_guid_names = dict(self.probe_guid_names)
+            mod.probe_guid_checksums = dict(self.probe_guid_checksums)
+            mod.functions = {fn.name: fn.clone()
+                             for fn in self.functions.values()}
+        finally:
+            if enabled:
+                gc.enable()
         return mod
 
     def __repr__(self) -> str:

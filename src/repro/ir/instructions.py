@@ -30,6 +30,10 @@ BINARY_OPS = frozenset({"add", "sub", "mul", "sdiv", "srem", "and", "or", "xor",
 CMP_PREDS = frozenset({"eq", "ne", "slt", "sle", "sgt", "sge"})
 
 
+#: Allocates an instance without running ``__init__`` (see ``Instr.clone``).
+_new = object.__new__
+
+
 def is_reg(operand: Operand) -> bool:
     """True when *operand* names a virtual register rather than a constant."""
     return isinstance(operand, str)
@@ -41,6 +45,11 @@ class Instr:
     Subclasses expose a uniform interface used by optimization passes:
     ``uses()`` (registers read), ``defined()`` (register written or None),
     ``clone()`` (deep copy), and ``replace_uses(mapping)``.
+
+    ``clone()`` copies slot by slot into an instance made by ``__new__``:
+    the source was validated when it was built, so the copy skips the
+    constructors, which keeps ``Module.clone`` (the first step of every
+    build) cheap.
     """
 
     __slots__ = ("dloc",)
@@ -91,7 +100,11 @@ class Assign(Instr):
         return self.dst
 
     def clone(self) -> "Assign":
-        return Assign(self.dst, self.src, self.dloc)
+        new = _new(Assign)
+        new.dloc = self.dloc
+        new.dst = self.dst
+        new.src = self.src
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.src = _map_op(self.src, mapping)
@@ -123,7 +136,13 @@ class BinOp(Instr):
         return self.dst
 
     def clone(self) -> "BinOp":
-        return BinOp(self.op, self.dst, self.lhs, self.rhs, self.dloc)
+        new = _new(BinOp)
+        new.dloc = self.dloc
+        new.op = self.op
+        new.dst = self.dst
+        new.lhs = self.lhs
+        new.rhs = self.rhs
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.lhs = _map_op(self.lhs, mapping)
@@ -156,7 +175,13 @@ class Cmp(Instr):
         return self.dst
 
     def clone(self) -> "Cmp":
-        return Cmp(self.pred, self.dst, self.lhs, self.rhs, self.dloc)
+        new = _new(Cmp)
+        new.dloc = self.dloc
+        new.pred = self.pred
+        new.dst = self.dst
+        new.lhs = self.lhs
+        new.rhs = self.rhs
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.lhs = _map_op(self.lhs, mapping)
@@ -187,7 +212,13 @@ class Select(Instr):
         return self.dst
 
     def clone(self) -> "Select":
-        return Select(self.dst, self.cond, self.tval, self.fval, self.dloc)
+        new = _new(Select)
+        new.dloc = self.dloc
+        new.dst = self.dst
+        new.cond = self.cond
+        new.tval = self.tval
+        new.fval = self.fval
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.cond = _map_op(self.cond, mapping)
@@ -219,7 +250,12 @@ class Load(Instr):
         return self.dst
 
     def clone(self) -> "Load":
-        return Load(self.dst, self.array, self.index, self.dloc)
+        new = _new(Load)
+        new.dloc = self.dloc
+        new.dst = self.dst
+        new.array = self.array
+        new.index = self.index
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.index = _map_op(self.index, mapping)
@@ -246,7 +282,12 @@ class Store(Instr):
         return [x for x in (self.index, self.value) if is_reg(x)]
 
     def clone(self) -> "Store":
-        return Store(self.array, self.index, self.value, self.dloc)
+        new = _new(Store)
+        new.dloc = self.dloc
+        new.array = self.array
+        new.index = self.index
+        new.value = self.value
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.index = _map_op(self.index, mapping)
@@ -300,8 +341,15 @@ class Call(Instr):
         return self.dst
 
     def clone(self) -> "Call":
-        return Call(self.dst, self.callee, list(self.args), self.dloc,
-                    self.probe_id, self.lexical_guid, self.inline_probe_stack)
+        new = _new(Call)
+        new.dloc = self.dloc
+        new.dst = self.dst
+        new.callee = self.callee
+        new.args = list(self.args)
+        new.probe_id = self.probe_id
+        new.lexical_guid = self.lexical_guid
+        new.inline_probe_stack = self.inline_probe_stack
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.args = [_map_op(a, mapping) for a in self.args]
@@ -323,7 +371,10 @@ class Br(Instr):
         self.target = target
 
     def clone(self) -> "Br":
-        return Br(self.target, self.dloc)
+        new = _new(Br)
+        new.dloc = self.dloc
+        new.target = self.target
+        return new
 
     def __repr__(self) -> str:
         return f"br {self.target}{self._fmt_loc()}"
@@ -347,7 +398,12 @@ class CondBr(Instr):
         return [self.cond] if is_reg(self.cond) else []
 
     def clone(self) -> "CondBr":
-        return CondBr(self.cond, self.true_target, self.false_target, self.dloc)
+        new = _new(CondBr)
+        new.dloc = self.dloc
+        new.cond = self.cond
+        new.true_target = self.true_target
+        new.false_target = self.false_target
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         self.cond = _map_op(self.cond, mapping)
@@ -371,7 +427,10 @@ class Ret(Instr):
         return [self.value] if is_reg(self.value) else []
 
     def clone(self) -> "Ret":
-        return Ret(self.value, self.dloc)
+        new = _new(Ret)
+        new.dloc = self.dloc
+        new.value = self.value
+        return new
 
     def replace_uses(self, mapping: dict) -> None:
         if self.value is not None:
@@ -408,8 +467,13 @@ class PseudoProbe(Instr):
         self.dangling = dangling
 
     def clone(self) -> "PseudoProbe":
-        return PseudoProbe(self.guid, self.probe_id, self.inline_stack,
-                           self.dangling, self.dloc)
+        new = _new(PseudoProbe)
+        new.dloc = self.dloc
+        new.guid = self.guid
+        new.probe_id = self.probe_id
+        new.inline_stack = self.inline_stack
+        new.dangling = self.dangling
+        return new
 
     def probe_key(self) -> tuple:
         return (self.guid, self.probe_id, self.inline_stack)
@@ -437,7 +501,11 @@ class InstrProfIncrement(Instr):
         self.counter_id = counter_id
 
     def clone(self) -> "InstrProfIncrement":
-        return InstrProfIncrement(self.func_name, self.counter_id, self.dloc)
+        new = _new(InstrProfIncrement)
+        new.dloc = self.dloc
+        new.func_name = self.func_name
+        new.counter_id = self.counter_id
+        return new
 
     def __repr__(self) -> str:
         return f"instrprof.increment {self.func_name}#{self.counter_id}{self._fmt_loc()}"

@@ -26,7 +26,7 @@ from ..correlate.profgen import (generate_context_profile,
                                  generate_dwarf_profile,
                                  generate_probe_profile)
 from ..faults import FaultSpec, apply_perf_faults, apply_profile_faults
-from ..hw.executor import MachineExecutor, execute, make_pmu
+from ..hw.executor import execute, make_pmu
 from ..obs import ProfileManifest, profile_block_counts, trim_overlap_score
 from ..hw.perf_data import PerfData
 from ..hw.pmu import PMU, PMUConfig

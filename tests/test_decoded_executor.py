@@ -9,13 +9,17 @@ are the contract that lets the driver default to the decoded engine.
 
 from __future__ import annotations
 
+import gc
 import pickle
+import weakref
+from types import FunctionType
 
 import pytest
 
+from repro import telemetry
 from repro.codegen import link
 from repro.hw import (MachineExecutionLimit, MachineExecutor, PMU, PMUConfig,
-                      execute, make_pmu, run_decoded)
+                      decode_program, execute, make_pmu, run_decoded)
 from repro.ir import ModuleBuilder, verify_module
 from repro.opt import OptConfig, optimize_module
 from repro.perfmodel import CostModel
@@ -261,3 +265,273 @@ class TestInstructionBudget:
         assert decoded.return_value == legacy.return_value == 300
         assert decoded.instructions_retired == legacy.instructions_retired
         assert decoded.taken_branches == legacy.taken_branches
+
+
+def _lazy_module():
+    """main(n) loops n times over wrap(i), whose ``call; ret`` lowers to a
+    tail call into tailee, and step(i); then calls rare(n) when n > 50 and
+    never(n) when n < 0.  Every callee has several blocks."""
+    mb = ModuleBuilder("lazy")
+    f = mb.function("never", ["%v"])
+    f.block("entry").cmp("sgt", "%c", "%v", 3).condbr("%c", "a", "b")
+    f.block("a").mul("%v", "%v", 5).br("out")
+    f.block("b").add("%v", "%v", 5).br("out")
+    f.block("out").ret("%v")
+    f = mb.function("rare", ["%v"])
+    f.block("entry").mov("%k", 0).mov("%s", 0).br("loop")
+    f.block("loop").cmp("slt", "%c", "%k", "%v").condbr("%c", "body", "done")
+    f.block("body").add("%s", "%s", "%k").add("%k", "%k", 2).br("loop")
+    f.block("done").ret("%s")
+    f = mb.function("tailee", ["%v"])
+    (f.block("entry").add("%s", "%v", 1).cmp("sgt", "%c", "%s", 4)
+     .condbr("%c", "big", "small"))
+    f.block("big").mul("%s", "%s", 3).br("done")
+    f.block("small").sub("%s", "%s", 1).br("done")
+    f.block("done").ret("%s")
+    f = mb.function("wrap", ["%v"])
+    f.block("entry").call("%t", "tailee", ["%v"]).ret("%t")
+    f = mb.function("step", ["%v"])
+    (f.block("entry").add("%u", "%v", 2).cmp("slt", "%c", "%u", 6)
+     .condbr("%c", "lo", "hi"))
+    f.block("lo").mul("%u", "%u", 2).br("out")
+    f.block("hi").add("%u", "%u", 9).br("out")
+    f.block("out").ret("%u")
+    f = mb.function("main", ["%n"])
+    f.block("entry").mov("%i", 0).mov("%sum", 0).br("head")
+    f.block("head").cmp("slt", "%c", "%i", "%n").condbr("%c", "body", "after")
+    (f.block("body").call("%a", "wrap", ["%i"]).call("%b", "step", ["%i"])
+     .add("%sum", "%sum", "%a").add("%sum", "%sum", "%b")
+     .add("%i", "%i", 1).br("head"))
+    (f.block("after").cmp("sgt", "%big", "%n", 50)
+     .condbr("%big", "callrare", "check"))
+    (f.block("callrare").call("%r", "rare", ["%n"])
+     .add("%sum", "%sum", "%r").br("check"))
+    (f.block("check").cmp("slt", "%neg", "%n", 0)
+     .condbr("%neg", "callnever", "exit"))
+    (f.block("callnever").call("%z", "never", ["%n"])
+     .add("%sum", "%sum", "%z").br("exit"))
+    f.block("exit").ret("%sum")
+    module = mb.build()
+    verify_module(module)
+    return module
+
+
+def _program(binary, key):
+    """The binary's cached decoded program for ``key``, built if absent."""
+    return binary.cached_decoded(key, lambda b: decode_program(b, *key))
+
+
+def _entries(binary, program, name):
+    """Block-table entries at the leaders of function ``name``."""
+    symbol = binary.symbols[name]
+    return [op for i, op in enumerate(program.ops)
+            if op is not None and symbol.contains(binary.instrs[i].addr)]
+
+
+def _compiled(binary, program, name):
+    """True when all of ``name``'s blocks are compiled, False when all are
+    still stubs (a function compiles as a whole or not at all)."""
+    kinds = {isinstance(op, FunctionType)
+             for op in _entries(binary, program, name)}
+    assert len(kinds) == 1, f"{name} is partly compiled"
+    return kinds.pop()
+
+
+def _record_dispatches(program, index):
+    """Put a recorder in front of the table entry at ``index``.  Returns the
+    list each dispatch to it appends to, until a compile replaces it."""
+    hits = []
+    stub = program.ops[index]
+
+    def recorder(st):
+        hits.append(index)
+        return stub(st)
+    program.ops[index] = recorder
+    return hits
+
+
+def _observed_run(binary, n, engine, pebs=True):
+    """Run with a PMU and a cost model; everything an observer can see."""
+    pmu = make_pmu(PMUConfig(period=7, lbr_depth=16, pebs=pebs))
+    cost = CostModel()
+    result = execute(binary, [n], pmu=pmu, cost_model=cost, engine=engine)
+    data = pmu.finish(result.instructions_retired)
+    return (result.return_value, result.instructions_retired,
+            result.taken_branches,
+            [(s.ip, list(s.lbr), list(s.stack)) for s in data.samples],
+            pmu.lbr.recorded, pmu.lbr.wraps, pmu._skid_samples,
+            cost.summary())
+
+
+class TestLazyDecode:
+    """Functions compile on first entry, and the runs stay exact."""
+
+    FUNCTIONS = ("main", "wrap", "tailee", "step", "rare", "never")
+
+    def test_decode_compiles_nothing(self):
+        binary = link(_lazy_module())
+        for key in ((None, False), ("pebs", True)):
+            program = _program(binary, key)
+            assert program.decode_ns > 0
+            for name in self.FUNCTIONS:
+                assert not _compiled(binary, program, name)
+
+    @pytest.mark.parametrize("key", [(None, False), ("pebs", False),
+                                     ("skid", True)])
+    def test_unreached_function_keeps_stubs(self, key):
+        binary = link(_lazy_module())
+        pmu = None if key[0] is None else make_pmu(
+            PMUConfig(period=7, pebs=key[0] == "pebs"))
+        cost = CostModel() if key[1] else None
+        run_decoded(binary, [60], pmu=pmu, cost_model=cost)
+        program = binary._decoded_cache[key]
+        assert not _compiled(binary, program, "never")
+        assert _compiled(binary, program, "main")
+        if key[0] is not None:
+            # Observer variants dispatch every block transfer, so every
+            # function the run entered has compiled.
+            for name in ("wrap", "tailee", "step", "rare"):
+                assert _compiled(binary, program, name)
+
+    @pytest.mark.parametrize("pebs", [True, False])
+    def test_second_run_compiles_more_and_matches_legacy(self, pebs):
+        binary = link(_lazy_module())
+        key = ("pebs" if pebs else "skid", True)
+        first = _observed_run(binary, 10, "decoded", pebs)
+        assert first == _observed_run(binary, 10, "legacy", pebs)
+        program = binary._decoded_cache[key]
+        assert not _compiled(binary, program, "rare")
+        decode_ns = program.decode_ns
+
+        second = _observed_run(binary, 60, "decoded", pebs)
+        assert binary._decoded_cache[key] is program
+        assert _compiled(binary, program, "rare")
+        assert not _compiled(binary, program, "never")
+        assert program.decode_ns > decode_ns
+        legacy = _observed_run(binary, 60, "legacy", pebs)
+        assert second == legacy
+        assert len(second[3]) > 50 and second[5] > 0  # samples, wraps
+
+    @pytest.mark.parametrize("pmu_mode", [None, "pebs"])
+    def test_limit_fires_in_function_compiled_mid_run(self, pmu_mode):
+        binary = link(_lazy_module())
+        total = execute(binary, [60], engine="legacy").instructions_retired
+        # rare(60) runs 31 loop tests and 30 bodies, and main retires only
+        # a few instructions after it returns: this budget runs out in rare.
+        budget = total - 40
+        with pytest.raises(MachineExecutionLimit):
+            execute(binary, [60], max_instructions=budget, engine="legacy")
+        pmu = None if pmu_mode is None else make_pmu(PMUConfig(period=7))
+        program = _program(binary, (pmu_mode, False))
+        with pytest.raises(MachineExecutionLimit):
+            run_decoded(binary, [60], pmu=pmu, max_instructions=budget)
+        assert _compiled(binary, program, "rare")
+        assert not _compiled(binary, program, "never")
+
+    def test_first_entry_through_tail_call(self):
+        binary = link(_lazy_module())
+        wrap = binary.index_of(binary.symbols["wrap"].entry_addr)
+        assert (binary.instrs[wrap].kind, binary.instrs[wrap].a) == \
+            ("tailcall", "tailee")
+        program = _program(binary, ("pebs", True))
+        hits = _record_dispatches(
+            program, binary.index_of(binary.symbols["tailee"].entry_addr))
+        got = _observed_run(binary, 3, "decoded")
+        # tailee's first entry went through its own stub, straight from
+        # wrap's tail call; the compile then replaced the recorder.
+        assert len(hits) == 1
+        assert _compiled(binary, program, "tailee")
+        assert got == _observed_run(binary, 3, "legacy")
+
+    def test_compiles_are_charged_when_they_happen(self):
+        binary = link(_lazy_module())
+        session = telemetry.enable(telemetry.TelemetrySession())
+        try:
+            charged = []
+            for n in (10, 60):
+                run_decoded(binary, [n], pmu=make_pmu(PMUConfig(period=7)))
+                program = binary._decoded_cache[("pebs", False)]
+                compiled = [name for name in self.FUNCTIONS
+                            if _compiled(binary, program, name)]
+                charged.append((session.counter("hw.decode", "decodes"),
+                                session.counter("hw.decode", "instrs_decoded"),
+                                session.counter("hw.decode", "decode_ns")))
+                assert charged[-1] == (
+                    len(compiled),
+                    sum(binary.symbols[name].num_instrs for name in compiled),
+                    program.decode_ns)
+        finally:
+            telemetry.disable()
+        assert charged[1][0] == charged[0][0] + 1  # rare, on the second run
+        assert session.counter("hw.decode", "requests") == 2
+        assert session.counter("hw.decode", "cache_hits") == 1
+
+    def test_program_goes_with_its_binary(self):
+        # Nothing in a decoded program refers back to it or to the binary,
+        # so dropping the binary frees compiled blocks and stubs alike
+        # without the cyclic collector.
+        binary = link(_lazy_module())
+        run_decoded(binary, [3])
+        ops = binary._decoded_cache[(None, False)].ops
+        compiled = [weakref.ref(op) for op in ops
+                    if isinstance(op, FunctionType)]
+        stubs = [weakref.ref(op) for op in ops
+                 if op is not None and not isinstance(op, FunctionType)]
+        assert compiled and stubs
+        del ops
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del binary
+            assert all(ref() is None for ref in compiled + stubs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("key", [(None, False), ("pebs", True)])
+    def test_local_arrays_resolve_per_function(self, key):
+        # Both functions have a local ``buf`` of different sizes; the pure
+        # variant runs helper's entry block inlined in main's code, where
+        # its loads and stores must still reach helper's frame.
+        mb = ModuleBuilder("locals")
+        mb.global_array("@g", 4)
+        f = mb.function("helper", ["%v"])
+        f.local_array("buf", 3)
+        (f.block("entry").mul("%w", "%v", 7).store("buf", "%v", "%w")
+         .add("%j", "%v", 3).load("%w", "buf", "%j").store("@g", "%v", "%w")
+         .ret("%w"))
+        f = mb.function("main", ["%n"])
+        f.local_array("buf", 5)
+        f.block("entry").mov("%i", 0).mov("%acc", 0).br("head")
+        f.block("head").cmp("slt", "%c", "%i", "%n").condbr("%c", "body", "exit")
+        (f.block("body").call("%r", "helper", ["%i"]).store("buf", "%i", "%r")
+         .add("%j", "%i", 3).load("%x", "buf", "%j")
+         .add("%acc", "%acc", "%x").add("%i", "%i", 1).br("head"))
+        f.block("exit").load("%y", "@g", 1).add("%acc", "%acc", "%y") \
+            .ret("%acc")
+        module = mb.build()
+        verify_module(module)
+        binary = link(module)
+        pmu = make_pmu(PMUConfig(period=5)) if key[0] else None
+        cost = CostModel() if key[1] else None
+        got = run_decoded(binary, [20], pmu=pmu, cost_model=cost)
+        want = execute(binary, [20], engine="legacy")
+        assert got.return_value == want.return_value != 0
+        assert got.instructions_retired == want.instructions_retired
+
+    def test_first_entry_through_inlined_entry_segment(self):
+        # The pure variant inlines a callee's entry block into the caller's
+        # code, so rare is first entered without its entry stub running,
+        # and compiles when the run reaches one of its other leaders.
+        binary = link(_lazy_module())
+        program = _program(binary, (None, False))
+        hits = _record_dispatches(
+            program, binary.index_of(binary.symbols["rare"].entry_addr))
+        got = run_decoded(binary, [60])
+        want = execute(binary, [60], engine="legacy")
+        assert hits == []
+        assert _compiled(binary, program, "rare")
+        assert (got.return_value, got.instructions_retired,
+                got.taken_branches) == (want.return_value,
+                                        want.instructions_retired,
+                                        want.taken_branches)

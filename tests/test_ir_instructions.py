@@ -3,8 +3,8 @@
 import pytest
 
 from repro.ir import (Assign, BinOp, Br, Call, Cmp, CondBr, DebugLoc,
-                      InlineSite, InstrProfIncrement, Load, PseudoProbe, Ret,
-                      Select, Store, is_real, is_reg)
+                      InlineSite, InstrProfIncrement, Instr, Load,
+                      PseudoProbe, Ret, Select, Store, is_real, is_reg)
 
 
 class TestOperandHelpers:
@@ -80,6 +80,43 @@ class TestClone:
         clone = probe.clone()
         assert clone.probe_key() == probe.probe_key()
         assert clone.dangling
+
+    def test_every_subclass_copies_every_slot(self):
+        loc = DebugLoc(7, 2, (InlineSite("g", 3),))
+        samples = [
+            Assign("%d", "%s", loc),
+            BinOp("shl", "%d", "%a", 3, loc),
+            Cmp("sge", "%d", 4, "%b", loc),
+            Select("%d", "%c", "%t", 9, loc),
+            Load("%d", "arr", "%i", loc),
+            Store("@g", 2, "%v", loc),
+            Call("%r", "f", ["%a", 5], loc, probe_id=6, lexical_guid=77,
+                 inline_probe_stack=((5, 2),)),
+            Br("next", loc),
+            CondBr("%c", "yes", "no", loc),
+            Ret("%v", loc),
+            PseudoProbe(11, 2, ((9, 4),), True, loc),
+            InstrProfIncrement("f", 3, loc),
+        ]
+        assert {type(i) for i in samples} == set(Instr.__subclasses__())
+        for instr in samples:
+            clone = instr.clone()
+            assert type(clone) is type(instr) and clone is not instr
+            assert repr(clone) == repr(instr)
+            for cls in type(instr).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    value = getattr(instr, slot)
+                    assert getattr(clone, slot) == value, slot
+                    if isinstance(value, (list, dict, set)):
+                        assert getattr(clone, slot) is not value, slot
+
+    def test_clone_of_call_owns_its_args(self):
+        call = Call("%r", "f", ["%a", "%b"])
+        clone = call.clone()
+        clone.replace_uses({"%a": "%x"})
+        clone.args.append(1)
+        assert call.args == ["%a", "%b"]
+        assert clone.args == ["%x", "%b", 1]
 
 
 class TestProbeContext:
