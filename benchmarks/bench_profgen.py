@@ -2,18 +2,21 @@
 
 Times all three profgen modes (DWARF, probe, context — the latter with and
 without the frame inferrer) over a realistic loopy workload, on both the
-default fast path (sample dedup + memoized unwinding + binary range indexes
-+ interned contexts, DESIGN.md sec. 9) and the legacy per-sample reference
-(``fast=False``), and writes ``BENCH_profgen.json`` with samples/sec per
-mode, speedups, and cache effectiveness (unique-sample ratio, unwind/range/
-context cache hit rates).  Used two ways:
+default fast path (one walk per (LBR, calling context) + memoized per-branch
+lookups + binary range indexes + interned contexts, DESIGN.md sec. 9) and
+the legacy per-sample reference (``fast=False``), and writes
+``BENCH_profgen.json`` with samples/sec per mode, speedups, and cache
+effectiveness (unique-sample ratio, unwind/range/context cache hit rates).
+Used two ways:
 
 * locally: ``PYTHONPATH=src python benchmarks/bench_profgen.py``
 * in CI (smoke): small workload, compared against the checked-in baseline
   (``benchmarks/results/BENCH_profgen_baseline.json``); the job fails when
-  fast-path samples/sec regresses by more than ``--max-regression`` (default
-  2x), which catches "the dedup/memo layers stopped working" class bugs
-  while absorbing runner-to-runner noise.
+  a mode's fast/legacy speedup falls below the baseline's by more than
+  ``--max-regression`` (default 2x).  Both paths run back to back in one
+  process, so host load slows both and largely cancels out of the speedup,
+  while "the grouping/memo layers stopped working" class bugs slow the
+  fast path alone and still fail the gate.
 
 The fast path's performance contract (paper sec. III.B: post-processing,
 not collection, dominates sampling-PGO cost): context mode at least 3x the
@@ -24,7 +27,7 @@ also verified byte-identical (fast vs legacy text output) — a benchmark
 that quietly changed the profile would be meaningless.
 
 Dead-cache sanity runs unconditionally: a cache counter pinned at zero
-(unwind payload reuse, range indexes never consulted) fails the bench —
+(unwind walk reuse, range indexes never consulted) fails the bench —
 that is how the dead unwind memo and the uninstrumented instr-range index
 slipped through before.
 """
@@ -186,16 +189,18 @@ def check_contract(report) -> int:
 def check_cache_sanity(report) -> int:
     """Fail on dead cache counters (always on — zero is a bug, not noise).
 
-    ``unwind_cache_hit_rate`` must be nonzero whenever the workload has
-    repeated payloads (the rate is ``1 - unique_ratio`` by construction of
-    the dedup path), and both range indexes must actually be consulted.
+    ``unwind_cache_hit_rate`` is the share of samples served by reuse of a
+    ``(lbr, initial context)`` walk.  Samples that repeat a whole payload
+    share its walk, so the rate is at least ``1 - unique_ratio`` and must be
+    nonzero whenever the workload has repeated payloads; both range indexes
+    must actually be consulted.
     """
     cache = report["cache"]
     counters = cache["counters"]
     samples = report["samples"]
     checks = []
     if samples["total"] > samples["unique"]:
-        checks.append(("unwind payload reuse",
+        checks.append(("unwind walk reuse",
                        cache["unwind_cache_hit_rate"] > 0.0,
                        f"hit rate {cache['unwind_cache_hit_rate']:.3f}"))
     for index in ("instr_range", "probe_range"):
@@ -213,16 +218,18 @@ def check_cache_sanity(report) -> int:
 
 
 def check_baseline(report, baseline, max_regression: float) -> int:
+    """Compare each mode's same-run fast/legacy speedup with the
+    baseline's: the ratio is how many times smaller this run's is."""
     failures = 0
     for name, entry in report["modes"].items():
         base = baseline["modes"].get(name)
         if base is None:
             continue
-        ratio = base["fast_samples_per_sec"] / entry["fast_samples_per_sec"]
+        ratio = base["speedup"] / entry["speedup"]
         status = "ok" if ratio <= max_regression else "FAIL"
         if ratio > max_regression:
             failures += 1
-        print(f"  baseline {name:14s} samples/sec ratio {ratio:5.2f} "
+        print(f"  baseline {name:14s} fast/legacy speedup ratio {ratio:5.2f} "
               f"(limit {max_regression:.1f}x) {status}")
     return failures
 
@@ -269,10 +276,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_profgen.json",
                         help="where to write the JSON report")
     parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="compare fast samples/sec against this report")
+                        help="compare each mode's fast/legacy speedup "
+                             "against this report's")
     parser.add_argument("--max-regression", type=float, default=2.0,
-                        help="fail when samples/sec falls below baseline by "
-                             "this factor")
+                        help="fail when a mode's speedup falls below the "
+                             "baseline's by this factor")
     parser.add_argument("--check", action="store_true",
                         help="enforce the fast-vs-legacy speedup contract")
     parser.add_argument("--events-out", default=None, metavar="PATH",
@@ -299,8 +307,9 @@ def main(argv=None) -> int:
               f"samples/s   fast {entry['fast_samples_per_sec']:10,.0f} "
               f"samples/s   speedup {entry['speedup']:5.2f}x")
     cache = report["cache"]
-    # Unwind hit rate = samples served by payload reuse; equals
-    # 1 - unique_ratio on the dedup path by construction.
+    # Unwind hit rate = samples served by reuse of an (lbr, initial
+    # context) walk; at least 1 - unique_ratio, since repeated payloads
+    # share a walk.
     print(f"  caches    unwind {cache['unwind_cache_hit_rate']*100:.1f}%  "
           f"stack {cache['stack_cache_hit_rate']*100:.1f}%  "
           f"instr-range {cache['instr_range_hit_rate']*100:.1f}%  "

@@ -17,11 +17,13 @@ This is the llvm-profgen equivalent.  Three modes:
 Every mode runs on a **fast path** by default (``fast=True``), built from
 four reuse layers (DESIGN.md sec. 9):
 
-1. sample pre-aggregation — :meth:`PerfData.aggregated` deduplicates
-   identical ``(lbr, stack)`` payloads so each unique sample is unwound once
-   and its counts multiplied (llvm-profgen's pre-aggregated perf input);
-2. memoized unwinding — the :class:`Unwinder` caches full ``UnwindResult``s
-   per unique payload;
+1. one walk per (LBR, calling context) — :meth:`PerfData.aggregated`
+   deduplicates identical ``(lbr, stack)`` payloads (llvm-profgen's
+   pre-aggregated perf input), each payload's stack converts to its initial
+   context once, and each distinct ``(lbr, initial context)`` pair is
+   unwound once and its counts multiplied;
+2. memoized per-branch lookups — the :class:`Unwinder` caches the stack
+   conversion and every per-branch decision across walks;
 3. precomputed binary indexes — range->probe-record prefix index and
    memoized range/symbolization lookups on :class:`Binary`;
 4. interned contexts — a :class:`ContextTrie` interner plus a
@@ -29,8 +31,8 @@ four reuse layers (DESIGN.md sec. 9):
 
 ``fast=False`` runs the original per-sample, rescanning, memo-free
 algorithm; differential tests pin both paths to byte-identical output
-(dedup-then-multiply is exact because unwinding is deterministic per
-payload).
+(group-then-multiply is exact because a walk is a deterministic function of
+the LBR window and the initial context alone).
 """
 
 from __future__ import annotations
@@ -76,10 +78,15 @@ def aggregate_samples(binary: Binary, data: PerfData,
                       ) -> Tuple[RawAggregation, FrameInferrer]:
     """Unwind every sample and histogram identical ranges/calls.
 
-    With ``dedup=True`` (default) each unique ``(lbr, stack)`` payload is
-    unwound once and its ranges/calls credited with the payload's
-    multiplicity — exact, because unwinding is deterministic per payload.
-    ``dedup=False`` is the per-sample reference path.
+    With ``dedup=True`` (default) samples are grouped by ``(lbr, initial
+    context)``: each unique ``(lbr, stack)`` payload converts its stack
+    once, and each distinct pair is walked once, its ranges/calls credited
+    with the number of samples in the group.  This is exact: the walk reads
+    only the LBR window and the initial context, and the stack (leaf IP
+    included) reaches it only through that context.  Groups keep the
+    first-occurrence order of their samples, so every histogram's insertion
+    order matches the per-sample walk.  ``dedup=False`` is the per-sample
+    reference path.
     """
     inferrer: Optional[FrameInferrer] = None
     if use_inferrer:
@@ -87,7 +94,7 @@ def aggregate_samples(binary: Binary, data: PerfData,
         # context-insensitive modes.
         inferrer = FrameInferrer(TailCallGraph.from_samples(binary,
                                                             data.samples))
-    unwinder = Unwinder(binary, inferrer, memoize=dedup)
+    unwinder = Unwinder(binary, inferrer)
     agg = RawAggregation()
     tel = telemetry.enabled()
     ranges = agg.ranges
@@ -96,9 +103,17 @@ def aggregate_samples(binary: Binary, data: PerfData,
         entries = data.aggregated()
         agg.total_samples = len(data.samples)
         agg.unique_samples = len(entries)
+        context_from_stack = unwinder.context_from_stack
+        groups: Dict[tuple, int] = {}
         for entry in entries:
-            count = entry.count
-            result = unwinder.unwind_entry(entry)
+            sample = entry.sample
+            key = (sample.lbr, context_from_stack(sample.stack))
+            groups[key] = groups.get(key, 0) + entry.count
+        unwinder.stats["unwind_misses"] = len(groups)
+        unwinder.stats["unwind_hits"] = agg.total_samples - len(groups)
+        unwind_lbr = unwinder.unwind_lbr
+        for (lbr, initial), count in groups.items():
+            result = unwind_lbr(lbr, initial)
             if result.broken:
                 agg.broken_samples += count
             if result.drop_reason is not None:
@@ -110,7 +125,7 @@ def aggregate_samples(binary: Binary, data: PerfData,
             for key in result.call_keys:
                 calls[key] += count
             if tel and result.events:
-                # Replay the payload's events once per represented sample so
+                # Replay the walk's events once per represented sample so
                 # counters keep their per-sample semantics under dedup.
                 for name in result.events:
                     telemetry.count("correlate", name, count)

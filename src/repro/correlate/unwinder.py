@@ -1,7 +1,7 @@
 """Algorithm 1: reconstruct calling contexts from synchronized LBR + stack
 samples (paper sec. III.B).
 
-The unwinder processes one :class:`~repro.hw.perf_data.PerfSample` at a time.
+The unwinder walks one :class:`~repro.hw.perf_data.PerfSample`'s LBR window.
 LBR branches are walked in **reverse execution order**, maintaining the
 synchronized stack: walking back over a *call* pops the frame it created,
 walking back over a *return* re-enters the function it returned from, and
@@ -16,6 +16,11 @@ repaired by the :class:`~repro.correlate.frame_inferrer.FrameInferrer`
 before unwinding (the inline-frame expansion of Algorithm 1's pseudocode is
 carried by each probe's self-describing inline chain instead — see
 DESIGN.md sec. 5).
+
+A walk reads only the LBR window and that initial context; the stack sample
+(leaf IP included) enters only through :meth:`Unwinder.context_from_stack`.
+:meth:`Unwinder.unwind_lbr` therefore takes the pair, and profgen walks each
+distinct ``(lbr, initial context)`` once (DESIGN.md sec. 9).
 """
 
 from __future__ import annotations
@@ -63,8 +68,8 @@ class UnwindResult:
         self.broken = False
         #: Telemetry counter names recorded while unwinding, one entry per
         #: event (None until the first event — events are rare).  Kept on
-        #: the result rather than emitted inline so a memoized result can
-        #: replay its events for every sample it stands for.
+        #: the result rather than emitted inline so one walk can replay its
+        #: events for every sample it stands for.
         self.events: Optional[List[str]] = None
         #: Non-None when the sample yielded *nothing* usable (no ranges, no
         #: calls): the ``correlate.drop.<reason>`` bucket it falls in.
@@ -83,12 +88,14 @@ _MISSING = object()
 
 
 class PayloadResult:
-    """Compact unwind of one unique payload: key tuples, no sample objects.
+    """Compact unwind of one ``(lbr, initial context)`` walk: key tuples, no
+    sample objects.
 
     ``range_keys`` holds ``(begin, end, context)`` and ``call_keys``
     ``(call_addr, target_addr, context)`` — exactly the histogram keys
     :func:`~repro.correlate.profgen.aggregate_samples` needs, so crediting a
-    deduplicated payload is a plain ``counter[key] += count`` per entry.
+    walk with the samples it stands for is a plain ``counter[key] += count``
+    per entry.
     """
 
     __slots__ = ("range_keys", "call_keys", "broken", "events", "drop_reason")
@@ -109,23 +116,21 @@ class PayloadResult:
 
 class Unwinder:
     """Per-binary sample unwinder with memoized stack conversion and
-    (optionally) memoized full unwinds.
+    memoized per-branch lookups.
 
-    With ``memoize=True`` the complete :class:`UnwindResult` is cached per
-    unique ``(lbr, stack)`` payload: unwinding is deterministic given the
-    binary and inferrer, so identical payloads — the common case for loopy
-    workloads — are walked once.  ``stats`` tracks cache effectiveness.
+    ``stats`` tracks cache effectiveness.  ``stack_hits``/``stack_misses``
+    count :meth:`context_from_stack` lookups; ``unwind_hits`` and
+    ``unwind_misses`` are set by the caller that groups samples into walks
+    (:func:`~repro.correlate.profgen.aggregate_samples`): one miss per walk,
+    one hit per further sample a walk stands for.
     """
 
     def __init__(self, binary: Binary,
-                 inferrer: Optional[FrameInferrer] = None,
-                 memoize: bool = False):
+                 inferrer: Optional[FrameInferrer] = None):
         self.binary = binary
         self.inferrer = inferrer
-        self.memoize = memoize
         self._stack_cache: dict = {}
-        self._result_cache: dict = {}
-        # Pure per-branch lookups memoized across payloads (the same branch
+        # Pure per-branch lookups memoized across walks (the same branch
         # pairs recur in every sliding LBR window of a loop):
         #: (source, target) -> instr kind, or None when outside the binary.
         self._branch_kind: dict = {}
@@ -215,70 +220,30 @@ class Unwinder:
 
     # -- Algorithm 1 ---------------------------------------------------------
     def unwind(self, sample: PerfSample) -> UnwindResult:
-        """Unwind one sample, emitting its telemetry events.
-
-        With memoization on, identical ``(lbr, stack)`` payloads hit the
-        shared compact result; recorded events are replayed into telemetry
-        on every call so per-sample counter semantics are unchanged by
-        caching.
-        """
-        if self.memoize:
-            payload = self.unwind_payload(sample)
-            result = UnwindResult()
-            result.broken = payload.broken
-            result.events = payload.events
-            result.drop_reason = payload.drop_reason
-            result.ranges = [RangeSample(*key) for key in payload.range_keys]
-            result.calls = [CallSample(*key) for key in payload.call_keys]
-        else:
-            result = self._unwind_uncached(sample)
+        """Unwind one sample on the reference walk, emitting its telemetry
+        events (the per-sample path, ``dedup=False``)."""
+        result = self._unwind_uncached(sample)
         if result.events and telemetry.enabled():
             for name in result.events:
                 telemetry.count("correlate", name)
         return result
 
-    def unwind_entry(self, entry) -> PayloadResult:
-        """Compact unwind of one aggregated entry (the dedup path).
+    def unwind_lbr(self, lbr: Tuple[Tuple[int, int], ...],
+                   initial: Optional[Context]) -> PayloadResult:
+        """Cache-accelerated Algorithm 1 over one LBR window, starting from
+        ``initial``, the context :meth:`context_from_stack` gave the stack
+        sample (``None`` when it gave none).
 
-        Pre-aggregation guarantees each unique payload reaches this loop
-        exactly once, so the per-payload result memo of
-        :meth:`unwind_payload` can never hit here — storing into it was
-        dead weight.  This entry point skips the cache entirely and
-        accounts reuse directly: the one real walk is a miss, and the
-        ``entry.count - 1`` further samples the payload stands for are
-        hits (unwinds served by payload reuse instead of a walk) —
-        the same semantics the per-sample memo reports, so the hit rate
-        equals ``1 - unique_ratio`` on any workload.
-        """
-        self.stats["unwind_misses"] += 1
-        if entry.count > 1:
-            self.stats["unwind_hits"] += entry.count - 1
-        return self._unwind_fast(entry.sample)
-
-    def unwind_payload(self, sample: PerfSample) -> PayloadResult:
-        """Compact unwind of ``sample``'s payload, memoized per unique
-        ``(lbr, stack)``.  Does *not* emit telemetry events — callers
-        aggregating deduplicated samples scale ``result.events`` by the
-        payload's multiplicity themselves."""
-        if not self.memoize:
-            return self._unwind_fast(sample)
-        key = (sample.lbr, sample.stack)
-        result = self._result_cache.get(key)
-        if result is not None:
-            self.stats["unwind_hits"] += 1
-            return result
-        self.stats["unwind_misses"] += 1
-        result = self._unwind_fast(sample)
-        self._result_cache[key] = result
-        return result
-
-    def _unwind_fast(self, sample: PerfSample) -> PayloadResult:
-        """Cache-accelerated Algorithm 1 (same walk as
+        The walk reads nothing else of a sample, so every sample with the
+        same ``lbr`` and initial context yields this same result: profgen
+        walks each distinct pair once and credits it with the pair's
+        sample count.  Does *not* emit telemetry events; the caller scales
+        ``result.events`` by that count.  Same walk as
         :meth:`_unwind_uncached`, which stays as the memo-free reference;
-        differential tests pin the two bit-for-bit).
+        differential tests pin the two bit-for-bit.
 
         Every per-branch decision is a pure function of the binary, so it is
-        memoized across payloads: branch classification, range linearity,
+        memoized across walks: branch classification, range linearity,
         and return-site lookup each collapse to one dict probe.  The working
         context keeps a lazily refreshed tuple mirror so repeated range
         emissions under an unchanged context reuse one tuple.
@@ -293,7 +258,6 @@ class Unwinder:
         instrs = self.binary.instrs
         function_at = self.binary.function_at
 
-        initial = self.context_from_stack(sample.stack)
         if initial is None:
             result.broken = True
         context_list: Optional[List[int]] = (
@@ -303,7 +267,7 @@ class Unwinder:
 
         valid_branches = 0
         prev_source = -1  # source addr of the next-later branch, -1 = none
-        for source, target in reversed(sample.lbr):
+        for source, target in reversed(lbr):
             kind = branch_kind.get((source, target), _MISSING)
             if kind is _MISSING:
                 if source in addr_index and target in addr_index:
@@ -371,7 +335,7 @@ class Unwinder:
                         context_tuple = None
             prev_source = source
         if not range_keys and not call_keys:
-            result.drop_reason = _classify_drop(sample.lbr, valid_branches)
+            result.drop_reason = _classify_drop(lbr, valid_branches)
         return result
 
     def _unwind_uncached(self, sample: PerfSample) -> UnwindResult:

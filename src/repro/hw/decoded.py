@@ -56,6 +56,12 @@ In PEBS mode a taken branch costs one C-level ``deque.append`` of its
 ``recorded``/``wraps`` counters are settled once when the run ends (see
 :func:`run_decoded` for the counting rule).
 
+The cyclic collector is paused for the dispatch loop, and the caller's
+setting restored when the run ends, however it ends.  Every sample a run
+takes survives the run and the loop makes no reference cycles, so each
+young-generation pass the sample allocations would trigger is wasted work
+(DESIGN.md sec. 8).
+
 The instruction budget is enforced at block granularity: every block bumps
 ``st.retired`` by its length before executing and the dispatch loop checks
 the limit between blocks, so ``MachineExecutionLimit`` still fires on every
@@ -67,6 +73,7 @@ identical cost-model cycles).
 
 from __future__ import annotations
 
+import gc
 import time
 from collections import Counter
 from functools import partial
@@ -843,6 +850,9 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     halted = False
     decode_ns = program.decode_ns
     t0 = time.perf_counter_ns() if t_enabled else 0
+    # Paused for the loop (module docstring), restored in ``finally``.
+    gc_enabled = gc.isenabled()
+    gc.disable()
     try:
         while True:
             idx = ops[idx](st)
@@ -857,6 +867,8 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
             raise MachineExecutionLimit(
                 f"retired > {max_instructions} instructions") from None
     finally:
+        if gc_enabled:
+            gc.enable()
         if pmu is not None:
             pmu._until_sample = st.until
             if pmu_mode == "pebs":

@@ -14,7 +14,7 @@ PEBS path does this (``hw/decoded.py``).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Tuple
+from typing import Callable, Deque, Tuple
 
 
 class LBRStack:
@@ -48,9 +48,10 @@ class LBRStack:
         self.recorded += count
         self.wraps += max(0, count - room)
 
-    def snapshot(self) -> List[Tuple[int, int]]:
-        """Current contents, oldest first."""
-        return list(self._ring)
+    def snapshot(self) -> Tuple[Tuple[int, int], ...]:
+        """Current contents, oldest first, as the tuple
+        :class:`~repro.hw.perf_data.PerfSample` stores without copying."""
+        return tuple(self._ring)
 
     def clear(self) -> None:
         self._ring.clear()

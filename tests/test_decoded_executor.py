@@ -535,3 +535,67 @@ class TestLazyDecode:
                 got.taken_branches) == (want.return_value,
                                         want.instructions_retired,
                                         want.taken_branches)
+
+
+class TestCollectorPause:
+    """``run_decoded`` pauses the cyclic collector for its dispatch loop and
+    leaves it as the caller set it, however the run ends."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collector(self, request):
+        enabled = gc.isenabled()
+        if request.param:
+            gc.enable()
+        else:
+            gc.disable()
+        try:
+            yield request.param
+        finally:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+
+    @pytest.mark.parametrize("pmu_mode", [None, "pebs", "skid"])
+    def test_restored_after_runs_that_compile(self, collector, pmu_mode):
+        binary = link(_lazy_module())
+        for n in (10, 60):  # the second run compiles rare
+            pmu = None if pmu_mode is None else make_pmu(
+                PMUConfig(period=7, pebs=pmu_mode == "pebs"))
+            program = _program(binary, (pmu_mode, False))
+            decode_ns = program.decode_ns
+            run_decoded(binary, [n], pmu=pmu)
+            assert program.decode_ns > decode_ns  # compiled mid-run
+            assert gc.isenabled() is collector
+
+    def test_restored_after_halt_on_cached_program(self, collector):
+        binary = link(_lazy_module())
+        run_decoded(binary, [60])
+        program = binary._decoded_cache[(None, False)]
+        decode_ns = program.decode_ns
+        assert run_decoded(binary, [60]).return_value == \
+            execute(binary, [60], engine="legacy").return_value
+        assert program.decode_ns == decode_ns  # nothing left to compile
+        assert gc.isenabled() is collector
+
+    @pytest.mark.parametrize("pmu_mode", [None, "pebs"])
+    def test_restored_after_limit(self, collector, pmu_mode):
+        binary = link(_lazy_module())
+        pmu = None if pmu_mode is None else make_pmu(PMUConfig(period=7))
+        with pytest.raises(MachineExecutionLimit):
+            run_decoded(binary, [60], pmu=pmu, max_instructions=100)
+        assert gc.isenabled() is collector
+
+    def test_paused_while_samples_are_taken(self, collector):
+        binary = link(_lazy_module())
+        pmu = make_pmu(PMUConfig(period=7))
+        seen = []
+        add = pmu.data.add
+
+        def recorder(sample):
+            seen.append(gc.isenabled())
+            add(sample)
+        pmu.data.add = recorder
+        run_decoded(binary, [60], pmu=pmu)
+        assert seen and not any(seen)
+        assert gc.isenabled() is collector

@@ -150,4 +150,4 @@ class TestLBRStack:
         for i in range(5):
             ring.record(i, i + 100)
         snap = ring.snapshot()
-        assert snap == [(2, 102), (3, 103), (4, 104)]
+        assert snap == ((2, 102), (3, 103), (4, 104))

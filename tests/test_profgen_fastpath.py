@@ -1,7 +1,8 @@
 """Differential tests for the profgen fast path (DESIGN.md sec. 9).
 
-The fast path — sample dedup, memoized unwinding, binary range indexes, and
-the interned-context memo — must be *invisible*: for every profile mode and
+The fast path — one walk per (LBR, calling context), memoized per-branch
+lookups, binary range indexes, and the interned-context memo — must be
+*invisible*: for every profile mode and
 inferrer setting, its text-format output must be byte-identical to the
 original per-sample, rescanning, memo-free algorithm (``fast=False``),
 including broken-sample and dangling-probe bookkeeping and the telemetry
@@ -12,10 +13,10 @@ import pytest
 
 from repro import telemetry
 from repro.codegen import build_probe_metadata, link
-from repro.correlate import (Unwinder, aggregate_samples,
-                             generate_context_profile, generate_dwarf_profile,
-                             generate_probe_profile)
-from repro.hw import PMUConfig, execute, make_pmu
+from repro.correlate import (FrameInferrer, TailCallGraph, Unwinder,
+                             aggregate_samples, generate_context_profile,
+                             generate_dwarf_profile, generate_probe_profile)
+from repro.hw import PMUConfig, PerfData, PerfSample, execute, make_pmu
 from repro.opt import OptConfig, optimize_module
 from repro.probes import insert_pseudo_probes
 from repro.profile import ContextTrie, dump_context_profile, dump_flat_profile
@@ -175,30 +176,99 @@ class TestBinaryIndexes:
         assert binary.index_stats["function_at_hits"] > 0
 
 
-class TestMemoizedUnwinder:
-    def test_payload_cache_hits_and_identity(self, profiled):
-        binary, _meta, data = profiled
-        unwinder = Unwinder(binary, memoize=True)
-        sample = data.samples[0]
-        first = unwinder.unwind_payload(sample)
-        second = unwinder.unwind_payload(sample)
-        assert second is first
-        assert unwinder.stats["unwind_hits"] == 1
-        assert unwinder.stats["unwind_misses"] == 1
+def _inferrer(binary, data):
+    return FrameInferrer(TailCallGraph.from_samples(binary, data.samples))
 
+
+class TestMemoizedUnwinder:
     def test_memoized_matches_reference(self, profiled):
+        """The ``(lbr, initial)`` walk, with its per-branch memos warm, equals
+        the memo-free reference walk on every sample."""
         binary, _meta, data = profiled
-        memo = Unwinder(binary, memoize=True)
-        ref = Unwinder(binary, memoize=False)
-        for sample in data.samples[:300]:
-            fast = memo.unwind_payload(sample)
-            slow = ref._unwind_uncached(sample)
-            assert fast.range_keys == [(r.begin, r.end, r.context)
-                                       for r in slow.ranges]
-            assert fast.call_keys == [(c.call_addr, c.target_addr, c.context)
-                                      for c in slow.calls]
-            assert fast.broken == slow.broken
-            assert (fast.events or []) == (slow.events or [])
+        for inferrer in (None, _inferrer(binary, data)):
+            memo = Unwinder(binary, inferrer)
+            ref = Unwinder(binary, inferrer)
+            for sample in data.samples:
+                fast = memo.unwind_lbr(
+                    sample.lbr, memo.context_from_stack(sample.stack))
+                slow = ref._unwind_uncached(sample)
+                assert fast.range_keys == [(r.begin, r.end, r.context)
+                                           for r in slow.ranges]
+                assert fast.call_keys == [(c.call_addr, c.target_addr,
+                                           c.context) for c in slow.calls]
+                assert fast.broken == slow.broken
+                assert fast.drop_reason == slow.drop_reason
+                assert (fast.events or []) == (slow.events or [])
+
+
+def _perf_data(samples):
+    data = PerfData(period=23, lbr_depth=16, pebs=True)
+    data.samples.extend(samples)
+    return data
+
+
+class TestWalkGrouping:
+    """The dedup path walks each distinct ``(lbr, initial context)`` once
+    and still reproduces the per-sample histograms, in insertion order."""
+
+    @staticmethod
+    def _check(binary, data, use_inferrer):
+        inferrer = _inferrer(binary, data) if use_inferrer else None
+        unwinder = Unwinder(binary, inferrer)
+        keys = {(s.lbr, unwinder.context_from_stack(s.stack))
+                for s in data.samples}
+        slow, _ = aggregate_samples(binary, data, use_inferrer=use_inferrer,
+                                    dedup=False)
+        fast, _ = aggregate_samples(binary, data, use_inferrer=use_inferrer,
+                                    dedup=True)
+        stats = fast.unwinder_stats
+        assert stats["unwind_misses"] == len(keys)
+        assert (stats["unwind_hits"] + stats["unwind_misses"]
+                == fast.total_samples == len(data.samples))
+        assert list(fast.ranges.items()) == list(slow.ranges.items())
+        assert list(fast.calls.items()) == list(slow.calls.items())
+        assert fast.broken_samples == slow.broken_samples
+        assert fast.dropped == slow.dropped
+        assert fast.used_samples == slow.used_samples
+        return keys, fast
+
+    @pytest.mark.parametrize("use_inferrer", [True, False])
+    def test_payloads_differing_in_leaf_ip(self, use_inferrer):
+        binary, _meta, data = _profiled_binary(seed=3)
+        addrs_of = {}
+        for minstr in binary.instrs:
+            addrs_of.setdefault(binary.function_at(minstr.addr),
+                                []).append(minstr.addr)
+        entry = binary.symbols[binary.entry_function].entry_addr
+        samples = []
+        for sample in data.samples[::25]:
+            leaf, callers = sample.stack[0], sample.stack[1:]
+            same = addrs_of[binary.function_at(leaf)]
+            # Other IPs in the leaf's function, and one in another function,
+            # which tail-call repair sees.
+            for ip in (leaf, same[0], same[len(same) // 2], same[-1], entry):
+                samples.append(PerfSample(sample.lbr, (ip,) + callers, ip))
+        keys, fast = self._check(binary, _perf_data(samples), use_inferrer)
+        assert len(keys) < fast.unique_samples
+
+    @pytest.mark.parametrize("use_inferrer", [True, False])
+    def test_skid_samples(self, use_inferrer):
+        binary, _meta, data = _profiled_binary(seed=5, pebs=False, period=17)
+        _keys, fast = self._check(binary, data, use_inferrer)
+        assert fast.broken_samples > 0
+
+    @pytest.mark.parametrize("use_inferrer", [True, False])
+    def test_truncated_stacks(self, use_inferrer):
+        # Each window three times: the whole stack, the leaf alone, and a
+        # stack truncated to nothing (no initial context).
+        binary, _meta, data = _profiled_binary(seed=9)
+        samples = []
+        for sample in data.samples[::10]:
+            for stack in (sample.stack, sample.stack[:1], ()):
+                samples.append(PerfSample(sample.lbr, stack, sample.ip))
+        keys, _fast = self._check(binary, _perf_data(samples), use_inferrer)
+        assert any(initial is None for _lbr, initial in keys)
+        assert len({lbr for lbr, _initial in keys}) < len(keys)
 
 
 class TestContextTrie:
