@@ -6,7 +6,7 @@ configuration (pure, PEBS PMU, skid PMU, cost model, PMU+cost) and writes
 cache hit rate.  Used two ways:
 
 * locally: ``PYTHONPATH=src python benchmarks/bench_executor.py``
-* in CI (smoke): small workload, compared against the checked-in baseline
+* in CI (smoke): the same workload, compared against the checked-in baseline
   (``benchmarks/results/BENCH_executor_baseline.json``); the job fails when
   a configuration's decoded-to-legacy time ratio grows by more than
   ``--max-regression`` (default 2x) over the baseline's.  Both engines run
@@ -54,8 +54,8 @@ REQUIRED_SPEEDUP = {"pure": 3.0, "pmu_pebs": 2.0, "pmu_skid": 2.0,
                     "cost": 2.0, "pmu_cost": 2.0}
 
 
-def build_binary(requests: int):
-    module = build_workload(WorkloadSpec("bench", seed=7, requests=requests))
+def build_binary():
+    module = build_workload(WorkloadSpec("bench", seed=7))
     insert_pseudo_probes(module)
     clone = module.clone()
     optimize_module(clone, OptConfig(), profile_annotated=False)
@@ -80,10 +80,9 @@ def _measure(binary, engine: str, factory, repeats: int):
     return best_ns, instructions
 
 
-def run_bench(requests: int, repeats: int):
-    binary = build_binary(requests)
-    report = {"workload": {"name": "bench", "seed": 7, "requests": requests,
-                           "args": ARGS},
+def run_bench(repeats: int):
+    binary = build_binary()
+    report = {"workload": {"name": "bench", "seed": 7, "args": ARGS},
               "repeats": repeats, "configs": {}}
     for name, factory in CONFIGS.items():
         legacy_ns, instructions = _measure(binary, "legacy", factory, repeats)
@@ -145,8 +144,6 @@ def check_baseline(report, baseline_path: str, max_regression: float) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=400,
-                        help="workload size (120 for the CI smoke run)")
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions per engine/config (best-of)")
     parser.add_argument("--out", default="BENCH_executor.json",
@@ -161,7 +158,7 @@ def main(argv=None) -> int:
                         help="enforce the decoded-vs-legacy speedup contract")
     args = parser.parse_args(argv)
 
-    report = run_bench(args.requests, args.repeats)
+    report = run_bench(args.repeats)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

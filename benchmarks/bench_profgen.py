@@ -6,11 +6,12 @@ default fast path (one walk per (LBR, calling context) + memoized per-branch
 lookups + binary range indexes + interned contexts, DESIGN.md sec. 9) and
 the legacy per-sample reference (``fast=False``), and writes
 ``BENCH_profgen.json`` with samples/sec per mode, speedups, and cache
-effectiveness (unique-sample ratio, unwind/range/context cache hit rates).
+effectiveness (unique-sample ratio, unwind/range/context cache hit rates),
+plus ``sample_bytes``, the memory the collected samples hold per sample.
 Used two ways:
 
 * locally: ``PYTHONPATH=src python benchmarks/bench_profgen.py``
-* in CI (smoke): small workload, compared against the checked-in baseline
+* in CI (smoke): the same workload, compared against the checked-in baseline
   (``benchmarks/results/BENCH_profgen_baseline.json``); the job fails when
   a mode's fast/legacy speedup falls below the baseline's by more than
   ``--max-regression`` (default 2x).  Both paths run back to back in one
@@ -35,10 +36,12 @@ slipped through before.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -59,16 +62,39 @@ REQUIRED_SPEEDUP = {"dwarf": 2.0, "probe": 2.0, "context": 3.0,
                     "context_noinf": 2.0}
 
 
-def build_profiled_binary(requests: int, period: int):
-    module = build_workload(WorkloadSpec("bench", seed=7, requests=requests))
+def collect(binary, period: int):
+    pmu = make_pmu(PMUConfig(period=period))
+    result = execute(binary, ARGS, pmu=pmu)
+    return pmu.finish(result.instructions_retired)
+
+
+def build_profiled_binary(period: int):
+    module = build_workload(WorkloadSpec("bench", seed=7))
     insert_pseudo_probes(module)
     clone = module.clone()
     optimize_module(clone, OptConfig(), profile_annotated=False)
     binary = link(clone)
     meta = build_probe_metadata(binary, clone)
-    pmu = make_pmu(PMUConfig(period=period))
-    result = execute(binary, ARGS, pmu=pmu)
-    return binary, meta, pmu.finish(result.instructions_retired)
+    return binary, meta, collect(binary, period)
+
+
+def sample_bytes(binary, period: int) -> float:
+    """Bytes a collected ``PerfData`` holds per sample, by tracemalloc.
+
+    Runs one more, untimed collection.  The first one compiled every
+    function the run enters, so what this one leaves allocated, once its
+    PMU is gone, is the samples alone.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = collect(binary, period)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held / len(data)
 
 
 def _modes(binary, meta, data):
@@ -140,16 +166,17 @@ def _cache_stats(binary, meta, data):
     }
 
 
-def run_bench(requests: int, period: int, repeats: int):
-    binary, meta, data = build_profiled_binary(requests, period)
+def run_bench(period: int, repeats: int):
+    binary, meta, data = build_profiled_binary(period)
     samples = len(data.samples)
     unique = len(data.aggregated())
     report = {
-        "workload": {"name": "bench", "seed": 7, "requests": requests,
-                     "period": period, "args": ARGS},
+        "workload": {"name": "bench", "seed": 7, "period": period,
+                     "args": ARGS},
         "repeats": repeats,
         "samples": {"total": samples, "unique": unique,
-                    "unique_ratio": unique / samples if samples else 0.0},
+                    "unique_ratio": unique / samples if samples else 0.0,
+                    "sample_bytes": sample_bytes(binary, period)},
         "modes": {},
     }
     mismatches = 0
@@ -267,8 +294,6 @@ def emit_bench_events(report, path: str, baseline) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--requests", type=int, default=400,
-                        help="workload size (120 for the CI smoke run)")
     parser.add_argument("--period", type=int, default=101,
                         help="PMU sampling period")
     parser.add_argument("--repeats", type=int, default=3,
@@ -293,7 +318,7 @@ def main(argv=None) -> int:
         with open(args.baseline) as handle:
             baseline = json.load(handle)
 
-    report, mismatches = run_bench(args.requests, args.period, args.repeats)
+    report, mismatches = run_bench(args.period, args.repeats)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -301,7 +326,8 @@ def main(argv=None) -> int:
     info = report["samples"]
     print(f"profgen bench: {info['total']:,} samples "
           f"({info['unique']:,} unique, "
-          f"{info['unique_ratio']*100:.1f}%), repeats={args.repeats}")
+          f"{info['unique_ratio']*100:.1f}%, "
+          f"{info['sample_bytes']:.0f} B/sample), repeats={args.repeats}")
     for name, entry in report["modes"].items():
         print(f"  {name:14s} legacy {entry['legacy_samples_per_sec']:10,.0f} "
               f"samples/s   fast {entry['fast_samples_per_sec']:10,.0f} "

@@ -56,6 +56,13 @@ In PEBS mode a taken branch costs one C-level ``deque.append`` of its
 ``recorded``/``wraps`` counters are settled once when the run ends (see
 :func:`run_decoded` for the counting rule).
 
+Samples take their LBR window and stack from the PMU's intern dicts (see
+:mod:`repro.hw.pmu`).  A sample reuses the previous sample's window while
+``st.taken`` is unchanged, which is exact because every append to the ring
+is followed by ``st.taken += 1`` before a sample can fire; the reuse is
+local to one run.  When the run ends its sampling hooks leave the run
+state, so no reference cycle keeps the PMU and its samples alive.
+
 The cyclic collector is paused for the dispatch loop, and the caller's
 setting restored when the run ends, however it ends.  Every sample a run
 takes survives the run and the loop makes no reference cycles, so each
@@ -772,18 +779,41 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
     st.program = program
 
     if pmu is not None:
-        def walker() -> List[int]:
+        intern_stack = pmu._stacks.setdefault
+
+        def walker() -> Tuple[int, ...]:
             stack = [st.cur_ip]
             for f in reversed(st.frames):
                 ra = f.ret_addr
                 if ra is not None:
                     stack.append(ra)
-            return stack
+            stack = tuple(stack)
+            return intern_stack(stack, stack)
+
+        def lagged(token) -> Tuple[int, ...]:
+            stack = tuple(_materialize_lagged(token))
+            return intern_stack(stack, stack)
 
         next_period = pmu._next_period
         data_add = pmu.data.add
         lbr_snapshot = pmu.lbr.snapshot
+        intern_window = pmu._windows.setdefault
         st.until = pmu._until_sample
+        # The last sample's window and the ``st.taken`` it was taken at.
+        # The ring changes only on an append, and every append is followed
+        # by ``st.taken += 1`` before a sample can fire, so the window
+        # stands still while ``st.taken`` does.  Run-local, because the
+        # next run counts ``st.taken`` from 0 again.
+        window_taken = -1
+        window = ()
+
+        def current_window() -> Tuple[Tuple[int, int], ...]:
+            nonlocal window_taken, window
+            if st.taken != window_taken:
+                window_taken = st.taken
+                snapshot = lbr_snapshot()
+                window = intern_window(snapshot, snapshot)
+            return window
 
         if pmu_mode == "pebs":
             pmu.bind_executor(walker)
@@ -793,7 +823,7 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
 
             def pmu_fire(ip: int) -> None:
                 st.until = next_period()
-                data_add(PerfSample(lbr_snapshot(), walker(), ip))
+                data_add(PerfSample(current_window(), walker(), ip))
 
             def pmu_prefix(addrs, u: int) -> None:
                 # ``u = until - len(prefix) <= 0``: at least one sample fires
@@ -803,10 +833,11 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
                 # per-instruction countdown exactly.
                 count = len(addrs) - 1
                 j = u + count - 1
+                lbr_window = current_window()
                 while j < count:
                     period = next_period()
                     st.cur_ip = addrs[j + 1]
-                    data_add(PerfSample(lbr_snapshot(), walker(), addrs[j]))
+                    data_add(PerfSample(lbr_window, walker(), addrs[j]))
                     j += period
                 st.until = j - count + 1
         else:
@@ -819,25 +850,27 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
                 st.until = next_period()
                 token = pmu._lagged_token
                 if token:
-                    stack = _materialize_lagged(token)
+                    stack = lagged(token)
                     pmu._skid_samples += 1
                 else:
                     stack = walker()
-                data_add(PerfSample(lbr_snapshot(), stack, ip))
+                data_add(PerfSample(current_window(), stack, ip))
 
             def pmu_prefix(addrs, u: int) -> None:
                 count = len(addrs) - 1
                 j = u + count - 1
+                lbr_window = current_window()
+                # A lagged stack is the last branch's, constant here too.
                 token = pmu._lagged_token
+                stack = lagged(token) if token else None
                 while j < count:
                     period = next_period()
                     if token:
-                        stack = _materialize_lagged(token)
                         pmu._skid_samples += 1
                     else:
                         st.cur_ip = addrs[j + 1]
                         stack = walker()
-                    data_add(PerfSample(lbr_snapshot(), stack, addrs[j]))
+                    data_add(PerfSample(lbr_window, stack, addrs[j]))
                     j += period
                 st.until = j - count + 1
 
@@ -870,6 +903,9 @@ def run_decoded(binary: Binary, args: Sequence[int] = (),
         if gc_enabled:
             gc.enable()
         if pmu is not None:
+            # The hooks close over ``st`` and the PMU: drop them, so no
+            # cycle keeps the PMU, and with it the samples, past the run.
+            st.pmu_branch = st.pmu_prefix = st.pmu_fire = None
             pmu._until_sample = st.until
             if pmu_mode == "pebs":
                 # The LBR counting rule.  Every taken branch was appended to

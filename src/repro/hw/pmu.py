@@ -20,12 +20,22 @@ proportional to *samples*, not to retired branches.
   plus a ``lagged_materialize`` hook; the expensive materialization then runs
   at most once per sampling window instead of once per taken branch.
   Executors without such hooks fall back to the eager full walk.
+
+Samples share their payloads.  A loopy run repeats the same LBR window and
+the same stack over and over, so the PMU interns both: it owns one dict of
+distinct windows and one of distinct stacks for its session, and every
+sample it hands out (in either engine, PEBS or skid) takes its ``lbr`` and
+``stack`` tuples from them through ``setdefault``.  Equal payloads are then
+the same objects, a sample costs little more than its slots, and the dicts
+go away with the PMU.  Consumers still compare payloads by value: samples
+built by hand or rewritten by a fault injector are not interned.
+``finish`` counts the distinct windows and stacks in telemetry.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from .lbr import LBRStack
@@ -77,11 +87,18 @@ class PMU:
         self._lagged_token: Optional[object] = None
         #: Samples delivered with the lagged (skid-prone) snapshot.
         self._skid_samples = 0
+        #: The session's distinct LBR windows and stacks, each its own key;
+        #: samples take their tuples from here (module docstring).
+        self._windows: Dict[Tuple[Tuple[int, int], ...],
+                            Tuple[Tuple[int, int], ...]] = {}
+        self._stacks: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         if config.pebs:
             # PEBS snapshots are taken at the sampled instruction, so the
             # lagged token is never consumed: specialize the per-branch hook
-            # to skip capture entirely (the hot-loop overhead fix).
-            self.on_branch = self._on_branch_pebs
+            # to skip capture entirely (the hot-loop overhead fix).  The
+            # ring's own method, not one bound to the PMU, so the PMU holds
+            # no reference to itself and its samples go when it does.
+            self.on_branch = self.lbr.record
 
     def _next_period(self) -> int:
         """``period + randint(0, max(1, period // 8))``, draw for draw.
@@ -107,9 +124,6 @@ class PMU:
         self._lagged_capture = lagged_capture
         self._lagged_materialize = lagged_materialize
 
-    def _on_branch_pebs(self, source: int, target: int) -> None:
-        self.lbr.record(source, target)
-
     def on_branch(self, source: int, target: int) -> None:
         # Capture the pre-transfer stack for skid modeling (O(1) when the
         # executor registered a capture hook), then record.
@@ -134,7 +148,10 @@ class PMU:
                 self._skid_samples += 1
             else:
                 stack = self._stack_walker()
-        self.data.add(PerfSample(self.lbr.snapshot(), stack, ip))
+        window = self.lbr.snapshot()
+        stack = tuple(stack)
+        self.data.add(PerfSample(self._windows.setdefault(window, window),
+                                 self._stacks.setdefault(stack, stack), ip))
 
     def finish(self, instructions_retired: int) -> PerfData:
         self.data.instructions_retired = instructions_retired
@@ -143,4 +160,7 @@ class PMU:
             telemetry.count("hw.pmu", "branches_recorded", self.lbr.recorded)
             telemetry.count("hw.pmu", "lbr_ring_wraps", self.lbr.wraps)
             telemetry.count("hw.pmu", "skid_stack_samples", self._skid_samples)
+            telemetry.count("hw.pmu", "lbr_windows_distinct",
+                            len(self._windows))
+            telemetry.count("hw.pmu", "stacks_distinct", len(self._stacks))
         return self.data

@@ -495,18 +495,24 @@ def _collect_independent(profiling: BuildArtifacts,
                         jitter_seed=base.jitter_seed + iteration),
               config.max_instructions)
              for iteration in range(iterations)]
-    if jobs > 1 and iterations > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, iterations)) as pool:
-            outcomes = list(pool.map(_collect_star, tasks))
-    else:
-        outcomes = [_profile_collection(*task) for task in tasks]
     merged = PerfData(base.period, base.lbr_depth, base.pebs)
     samples_per_iteration: List[int] = []
-    for data, measurement in outcomes:
+
+    def merge(data: PerfData, measurement: RunMeasurement) -> None:
         merged.extend(data, site="driver.independent_profiling")
         merged.instructions_retired += data.instructions_retired
         result.profiling_runs.append(measurement)
         samples_per_iteration.append(len(data))
+
+    if jobs > 1 and iterations > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, iterations)) as pool:
+            for outcome in pool.map(_collect_star, tasks):
+                merge(*outcome)
+    else:
+        # Each run's samples join the merge, and its session is let go,
+        # before the next run starts.
+        for task in tasks:
+            merge(*_profile_collection(*task))
     result.profiling_run = result.profiling_runs[-1]
     return merged, samples_per_iteration
 
@@ -592,6 +598,7 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
         with telemetry.span("optimizing-build", "stage"):
             final = _build_optimized(source, variant, profile, config, result,
                                      profiling=profiling, data=data)
+        del data  # spent: evaluation reads no samples
     else:
         # Continuous deployment: iteration 0 profiles a plain release build,
         # each following iteration profiles the binary optimized with the
@@ -600,6 +607,10 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
         samples_per_iteration: List[int] = []
         inference_per_iteration: List[Tuple[int, int]] = []
         for iteration in range(max(1, config.profile_iterations)):
+            # The previous iteration's samples are spent once its profile
+            # exists: free them before this build and collection.  The
+            # last iteration's stay for the fallback chain.
+            data = None
             with telemetry.span(f"iteration:{iteration}", "stage",
                                 iteration=iteration):
                 with telemetry.span("profiling-build", "stage"):
@@ -633,6 +644,7 @@ def _run_pgo_cycle(source: Module, variant: PGOVariant,
         with telemetry.span("optimizing-build", "stage"):
             final = _build_optimized(source, variant, profile, config, result,
                                      profiling=profiling, data=data)
+        del data  # spent: evaluation reads no samples
 
     # ---- 4-5: optimizing build and evaluation -----------------------------
     result.final = final

@@ -131,6 +131,88 @@ class TestObserverDifferential:
         assert summaries[0] == summaries[1]
 
 
+def _tail_module(tail: int = 40):
+    """main(n): call a leaf that only returns, then ``tail`` adds.  Every
+    sample in the tail is taken two taken branches into the run."""
+    mb = ModuleBuilder("tail")
+    mb.function("leaf", ["%v"]).block("entry").ret("%v")
+    body = mb.function("main", ["%n"]).block("entry")
+    body.call("%x", "leaf", ["%n"])
+    for _ in range(tail):
+        body.add("%x", "%x", 3)
+    body.ret("%x")
+    module = mb.build()
+    verify_module(module)
+    return module
+
+
+def _reused_pmu_samples(binary, engine, pebs, runs):
+    """One PMU across several runs; the session's (ip, lbr, stack) list."""
+    pmu = make_pmu(PMUConfig(period=5, pebs=pebs))
+    for n in runs:
+        if engine == "legacy":
+            # Bind each run's executor: ``execute`` keeps the first one's.
+            executor = MachineExecutor(binary, pmu=pmu)
+            pmu.bind_executor(executor.walk_stack)
+            executor.run([n])
+        else:
+            run_decoded(binary, [n], pmu=pmu)
+    return [(s.ip, s.lbr, s.stack) for s in pmu.data.samples]
+
+
+class TestPayloadInterning:
+    """Within one PMU session, equal LBR windows and equal stacks are one
+    object each, in both engines and both PMU modes."""
+
+    @pytest.mark.parametrize("pebs", [True, False])
+    def test_equal_payloads_are_one_object(self, pebs):
+        binary = _pipeline_binary(1)
+        streams = []
+        for engine in ("legacy", "decoded"):
+            pmu = make_pmu(PMUConfig(period=7, pebs=pebs))
+            result = execute(binary, ARGS, pmu=pmu, engine=engine)
+            data = pmu.finish(result.instructions_retired)
+            windows, stacks = {}, {}
+            for sample in data.samples:
+                assert windows.setdefault(sample.lbr, sample.lbr) is sample.lbr
+                assert (stacks.setdefault(sample.stack, sample.stack)
+                        is sample.stack)
+            assert len(windows) < len(data.samples) // 2
+            assert len(stacks) < len(data.samples) // 10
+            streams.append([(s.ip, s.lbr, s.stack) for s in data.samples])
+        assert streams[0] == streams[1]
+
+    @pytest.mark.parametrize("pebs", [True, False])
+    def test_reused_pmu_takes_no_window_from_an_earlier_run(self, pebs):
+        # The decoded engine reuses the last window while ``st.taken`` is
+        # unchanged.  Each run here samples its tail two branches in, with
+        # a ring that grew since the last run's tail.
+        binary = link(_tail_module())
+        runs = (1, 2, 3, 4)
+        decoded = _reused_pmu_samples(binary, "decoded", pebs, runs)
+        assert len(decoded) > 20
+        assert decoded == _reused_pmu_samples(binary, "legacy", pebs, runs)
+
+    def test_distinct_counts_match_across_engines(self):
+        binary = _pipeline_binary(1)
+        counts = []
+        for engine in ("legacy", "decoded"):
+            session = telemetry.enable(telemetry.TelemetrySession())
+            try:
+                pmu = make_pmu(PMUConfig(period=7))
+                result = execute(binary, ARGS, pmu=pmu, engine=engine)
+                data = pmu.finish(result.instructions_retired)
+            finally:
+                telemetry.disable()
+            windows = session.counter("hw.pmu", "lbr_windows_distinct")
+            stacks = session.counter("hw.pmu", "stacks_distinct")
+            assert windows == len({s.lbr for s in data.samples})
+            assert stacks == len({s.stack for s in data.samples})
+            counts.append((windows, stacks))
+        assert counts[0] == counts[1]
+        assert counts[0][0] > 0 and counts[0][1] > 0
+
+
 class TestDecodeCache:
     def test_repeat_runs_hit_cache(self):
         binary = _pipeline_binary(3)
@@ -168,7 +250,7 @@ class TestPEBSOverheadRegression:
             return [0]
 
         pmu = PMU(PMUConfig(pebs=True), walker)
-        assert pmu.on_branch.__func__ is PMU._on_branch_pebs
+        assert pmu.on_branch == pmu.lbr.record
         for i in range(200):
             pmu.on_branch(0x400000 + i, 0x400100 + i)
         assert calls == []  # no per-branch stack walks

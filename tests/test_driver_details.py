@@ -1,9 +1,14 @@
-"""Driver details: continuous profiling iterations, measurement wrappers."""
+"""Driver details: continuous profiling iterations, measurement wrappers,
+and how long each collection's samples live."""
+
+import gc
+import weakref
 
 import pytest
 
 from repro import (PGODriverConfig, PGOVariant, build, measure_run, run_pgo,
                    speedup_over)
+from repro.pgo import driver
 from repro.hw import PMUConfig
 from repro.workloads import WorkloadSpec, build_vectorops, build_workload
 
@@ -62,6 +67,85 @@ class TestIterations:
         result = run_pgo(workload, PGOVariant.CSSPGO_FULL, [60], [60], config)
         first, second = result.profiling_runs
         assert first.instructions != second.instructions
+
+
+class TestSampleLifetime:
+    """A collection's samples are freed once they are spent.
+
+    Runs with the cyclic collector off, so only references count: the
+    samples must go when the driver lets go of them, not at some later
+    collection.  Each collection's ``PerfData`` is watched through a weakref
+    taken where ``_profile_collection`` returns it, and the data profgen
+    reads through one taken where ``_generate_profile`` is called.
+    """
+
+    @pytest.fixture
+    def collector_off(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _watch(self, monkeypatch):
+        """Hook the driver; returns the list of ``(event, alive)`` pairs,
+        ``alive`` being one flag per collection watched so far."""
+        collections, inputs, log = [], [], []
+
+        def alive():
+            return [ref() is not None for ref in collections]
+
+        def collect(*args, **kwargs):
+            log.append(("collect", alive()))
+            data, measurement = real_collect(*args, **kwargs)
+            collections.append(weakref.ref(data))
+            return data, measurement
+
+        def generate(variant, profiling, data, *args, **kwargs):
+            inputs.append(weakref.ref(data))
+            return real_generate(variant, profiling, data, *args, **kwargs)
+
+        def measure(*args, **kwargs):
+            log.append(("measure", alive()
+                        + [ref() is not None for ref in inputs]))
+            return real_measure(*args, **kwargs)
+
+        real_collect = driver._profile_collection
+        real_generate = driver._generate_profile
+        real_measure = driver.measure_run
+        monkeypatch.setattr(driver, "_profile_collection", collect)
+        monkeypatch.setattr(driver, "_generate_profile", generate)
+        monkeypatch.setattr(driver, "measure_run", measure)
+        return log
+
+    @pytest.mark.parametrize("variant", [PGOVariant.AUTOFDO,
+                                         PGOVariant.CSSPGO_FULL])
+    def test_sequential_iterations(self, workload, monkeypatch,
+                                   collector_off, variant):
+        log = self._watch(monkeypatch)
+        config = PGODriverConfig(pmu=PMUConfig(period=31),
+                                 profile_iterations=2)
+        result = run_pgo(workload, variant, [60], [60], config)
+        assert result.extras["samples_per_iteration"][0] > 0
+        # Iteration 0's samples are gone before iteration 1 collects, and
+        # the last iteration's before evaluation.
+        assert log == [("collect", []), ("collect", [False]),
+                       ("measure", [False] * 4)]
+
+    def test_independent_profiling(self, workload, monkeypatch,
+                                   collector_off):
+        log = self._watch(monkeypatch)
+        config = PGODriverConfig(pmu=PMUConfig(period=31),
+                                 profile_iterations=3,
+                                 independent_profiling=True)
+        result = run_pgo(workload, PGOVariant.CSSPGO_FULL, [60], [60], config)
+        assert result.extras["samples"] > 0
+        # Each run's session goes once it is merged; the merged samples go
+        # before evaluation.
+        assert log == [("collect", []), ("collect", [False]),
+                       ("collect", [False, False]), ("measure", [False] * 4)]
 
 
 class TestMeasurement:

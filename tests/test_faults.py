@@ -321,6 +321,10 @@ def test_driver_degrades_on_fully_stale_profile(workload):
     assert result.extras["fallback_reasons"] == ["EmptyAnnotation"]
     assert result.extras["degraded_variant"] == "autofdo"
     assert result.final.variant is PGOVariant.AUTOFDO
+    # The AutoFDO profile is regenerated from the same samples, so the
+    # driver must still hold them, and it annotates the fallback build.
+    assert result.final.annotation is not None
+    assert result.final.annotation.annotated
     assert session.counter("pgo.fallback", "csspgo_to_autofdo") == 1
     fallback_remarks = [r for r in session.remarks
                         if r.name == "ProfileFallback"]
